@@ -25,16 +25,14 @@ from repro.model.terms import Null
 from repro.model.tgd import TGD, TGDSet
 from repro.obs.probe import ChaseProbe
 from repro.obs.profile import RuleProfiler
-from repro.chase.plan import CompiledRule, TriggerPipeline
 from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
 from repro.chase.trigger import Trigger
 
 #: Engine implementations selectable per run.  ``store`` (the default)
-#: runs on the interned fact store, ``plans`` on the term-level
-#: compiled pipeline it superseded, ``legacy`` on the original
+#: runs on the interned fact store, ``legacy`` on the original
 #: per-round rescan over the reference homomorphism search (the
 #: executable specification, also reachable as ``compiled=False``).
-ENGINES = ("store", "plans", "legacy")
+ENGINES = ("store", "legacy")
 
 
 class ChaseOutcome(Enum):
@@ -108,8 +106,8 @@ class EngineCheckpoint:
     blob is the instance as of a round boundary, ``marks`` are the
     per-predicate row counts delimiting that round's frontier, and the
     counters seed the statistics so the final summary is byte-identical
-    to an uninterrupted run.  Only the arrays-layout summary driver
-    (the executor's configuration) supports it.
+    to an uninterrupted run.  Only summary-only store runs (the
+    executor's configuration) support it.
     """
 
     store_blob: bytes
@@ -152,7 +150,7 @@ class ChaseResult:
     database_size: int
     derivation: Tuple[DerivationStep, ...] = ()
     depth_truncated: bool = False
-    #: Eagerly materialised instance (plans/legacy engines) — internal,
+    #: Eagerly materialised instance (legacy engine) — internal,
     #: read through the ``instance`` property.
     _materialized: Optional[Instance] = None
     #: Pending decode source (store engine) plus its O(1) atom count.
@@ -265,23 +263,18 @@ class BaseChaseEngine:
     (``engine="store"``): predicates and terms are dictionary-encoded
     to dense ids, joins intersect posting lists of packed int tuples,
     and atoms are only materialised at API boundaries.
-    ``engine="plans"`` selects the term-level compiled pipeline
-    (:class:`~repro.chase.plan.TriggerPipeline`) the store superseded,
-    and ``engine="legacy"`` (equivalently ``compiled=False``) the
+    ``engine="legacy"`` (equivalently ``compiled=False``) selects the
     original per-round rescan over the reference homomorphism search —
     kept as the executable specification and the "before" engine for
-    benchmarks and equivalence tests.
+    benchmarks and equivalence tests.  A subclass that only defines the
+    term-level hooks (:meth:`trigger_key`, :meth:`is_active`,
+    :meth:`trigger_result`) must pass ``engine="legacy"``; the store
+    engine needs :meth:`store_evaluate`.
     """
 
     #: Trigger identity: ``h|fr(σ)`` when True (semi-oblivious,
     #: restricted), the full ``h`` when False (oblivious).
     uses_frontier_identity: bool = True
-
-    #: Set by the shipped variants, which implement
-    #: :meth:`store_evaluate`.  Custom subclasses that only override
-    #: the term-level hooks keep working: ``engine="store"`` silently
-    #: falls back to the plans pipeline for them.
-    supports_store_engine: bool = False
 
     def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
                  record_derivation: bool = True, compiled: bool = True,
@@ -296,9 +289,9 @@ class BaseChaseEngine:
         #: (considered, applied, created))`` fired at every completed
         #: round boundary — the executor's checkpointer and the fault
         #: injector's ``worker.round`` point.  ``store``/``marks`` are
-        #: ``None`` outside the store/columnar drivers.  ``None`` (the
-        #: default) keeps every loop on its hook-free path: one
-        #: ``is None`` check per round.
+        #: ``None`` on the legacy engine.  ``None`` (the default) keeps
+        #: every loop on its hook-free path: one ``is None`` check per
+        #: round.
         self.round_hook = round_hook
         #: Optional round-level telemetry probe.  ``None`` (the
         #: default) keeps every driver loop on its probe-free path: one
@@ -314,9 +307,8 @@ class BaseChaseEngine:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
         self.engine = engine
-        self.compiled = engine != "legacy"
 
-    # -- variant hooks ------------------------------------------------------
+    # -- variant hooks (legacy engine) ----------------------------------------
 
     def trigger_key(self, trigger: Trigger):
         raise NotImplementedError
@@ -327,52 +319,18 @@ class BaseChaseEngine:
     def trigger_result(self, trigger: Trigger) -> List[Atom]:
         raise NotImplementedError
 
-    def evaluate(
-        self, instance: Instance, rule: CompiledRule, binding
-    ) -> Optional[List[Atom]]:
-        """Return the trigger's result atoms if it is active, else ``None``.
-
-        Called only on the compiled path: ``rule`` is the compiled rule
-        and ``binding`` its canonical term tuple, so variants can share
-        one computation between activeness and result construction.
-        The default implementation materialises the trigger and falls
-        back to the classic two hook calls, which keeps custom
-        subclasses that only define ``is_active``/``trigger_result``
-        working.
-        """
-        trigger = rule.make_trigger(binding)
-        if not self.is_active(trigger, instance):
-            return None
-        return self.trigger_result(trigger)
-
-    def _evaluate_by_containment(
-        self, instance: Instance, rule: CompiledRule, binding
-    ) -> Optional[List[Atom]]:
-        """Shared evaluate for the variants whose activeness is ``result ⊄ I``.
-
-        The result doubles as the activeness witness, so it is computed
-        once from the compiled head template; the null labelling follows
-        the variant's trigger identity (frontier or full binding).
-        """
-        atoms = rule.result_atoms(binding, full_labels=not self.uses_frontier_identity)
-        for a in atoms:
-            if a not in instance:
-                return atoms
-        return None
-
     # -- store-engine hooks ---------------------------------------------------
 
     def store_evaluate(
         self, store: FactStore, rule: StoreCompiledRule, canonical, key
     ) -> Optional[List[Fact]]:
-        """Id-space twin of :meth:`evaluate`: result facts if active.
+        """Result facts of the trigger ``(rule, canonical)`` if active.
 
         Runs entirely on interned ids — no atom or null objects.
         ``key`` is the trigger's applied-memo key, already built by the
         driver (variants reuse it instead of re-deriving the frontier).
-        The shipped variants override this (and set
-        ``supports_store_engine``); the base raises so a forgotten
-        override fails loudly instead of silently diverging.
+        The shipped variants override this; the base raises so a
+        forgotten override fails loudly instead of silently diverging.
         """
         raise NotImplementedError
 
@@ -408,8 +366,8 @@ class BaseChaseEngine:
         * ``database`` may be a pre-seeded :class:`FactStore` (e.g.
           restored from a snapshot shipped by the batch executor), in
           which case its facts *are* the database and no parsing or
-          interning happens here.  Engines without store support decode
-          it back to an :class:`Instance` first.
+          interning happens here.  The legacy engine decodes it back to
+          an :class:`Instance` first.
         * ``resume_from`` makes the run *incremental*: it is the
           snapshot (bytes, or a live :class:`FactStore`, which is then
           mutated in place) of a previously terminated chase over a
@@ -429,8 +387,8 @@ class BaseChaseEngine:
         """
         if checkpoint is not None and resume_from is not None:
             raise ValueError("checkpoint and resume_from are mutually exclusive")
-        if self.engine == "store" and self.supports_store_engine:
-            return self._run_store(
+        if self.engine == "store":
+            return self._run_store_columnar(
                 database,
                 resume_from=resume_from,
                 database_size=database_size,
@@ -446,6 +404,17 @@ class BaseChaseEngine:
                 "resume_from requires the store engine "
                 f"(this run uses engine={self.engine!r})"
             )
+        return self._run_legacy(database)
+
+    def _run_legacy(self, database) -> ChaseResult:
+        """The executable specification: a per-round rescan.
+
+        Every round re-enumerates triggers with the reference
+        homomorphism search (:meth:`_collect_triggers`) and applies
+        them through the term-level hooks.  The store driver considers
+        and applies exactly the same triggers per round; the
+        equivalence suites hold it to that.
+        """
         if isinstance(database, FactStore):
             database = database.to_instance()
         start = time.perf_counter()
@@ -455,31 +424,15 @@ class BaseChaseEngine:
         applied: Set = set()
         outcome = ChaseOutcome.TERMINATED
         depth_truncated = False
+        budget = self.budget
         profiler = self.profile
         if profiler is None:
             driver_start = start
-            pipeline = (
-                TriggerPipeline(self.tgds, selectivity=instance.count)
-                if self.compiled
-                else None
-            )
         else:
             # The attribution denominator starts here: instance setup
             # above is reported separately as setup_seconds.
             driver_start = time.perf_counter()
-            compile_seconds = [0.0] * len(self.tgds)
-            pipeline = (
-                TriggerPipeline(
-                    self.tgds,
-                    selectivity=instance.count,
-                    compile_seconds=compile_seconds,
-                )
-                if self.compiled
-                else None
-            )
             prof_slots = profiler.attach(t.rule_id for t in self.tgds)
-            if pipeline is not None:
-                profiler.add_compile_seconds(prof_slots, compile_seconds)
             slot_of_rule_id = {
                 t.rule_id: prof_slots[i] for i, t in enumerate(self.tgds)
             }
@@ -499,7 +452,7 @@ class BaseChaseEngine:
         round_delta = 0
         considered_before = applied_before = created_before = 0
         while True:
-            if statistics.rounds >= self.budget.max_rounds:
+            if statistics.rounds >= budget.max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
             if probe is not None:
@@ -511,46 +464,13 @@ class BaseChaseEngine:
             # Materialise the round's triggers up front: the instance is
             # mutated while they are applied, so lazy enumeration would
             # race against the indexes it reads.
-            if pipeline is not None:
-                make_key = (
-                    CompiledRule.frontier_key
-                    if self.uses_frontier_identity
-                    else CompiledRule.full_key
-                )
-                source = (
-                    pipeline.initial_triggers(instance)
-                    if first_round
-                    else pipeline.delta_triggers(instance, delta)
-                )
-                if profiler is None:
-                    pending = [(rule, sub, make_key(rule, sub)) for rule, sub in source]
-                else:
-                    # The pipeline yields rule-major, so enumeration
-                    # time is attributed per contiguous rule segment:
-                    # the clock is read only where the rule changes.
-                    pending = []
-                    append = pending.append
-                    seg_slot = -1
-                    seg_start = 0.0
-                    for rule, sub in source:
-                        s = prof_slots[rule.index]
-                        if s != seg_slot:
-                            now = time.perf_counter()
-                            if seg_slot >= 0:
-                                p_seconds[seg_slot] += now - seg_start
-                            seg_slot = s
-                            seg_start = now
-                        append((rule, sub, make_key(rule, sub)))
-                    if seg_slot >= 0:
-                        p_seconds[seg_slot] += time.perf_counter() - seg_start
-            elif profiler is None:
-                pending = [
-                    (None, None, trigger)
-                    for trigger in self._collect_triggers(instance, delta, first_round)
-                ]
+            if profiler is None:
+                pending = list(self._collect_triggers(instance, delta, first_round))
             else:
-                # Legacy rescan: _collect_triggers walks the TGDs in
-                # order, so its output is rule-major too.
+                # _collect_triggers walks the TGDs in order, so its
+                # output is rule-major: enumeration time is attributed
+                # per contiguous rule segment, reading the clock only
+                # where the rule changes.
                 pending = []
                 append = pending.append
                 seg_slot = -1
@@ -563,23 +483,18 @@ class BaseChaseEngine:
                             p_seconds[seg_slot] += now - seg_start
                         seg_slot = s
                         seg_start = now
-                    append((None, None, trigger))
+                    append(trigger)
                 if seg_slot >= 0:
                     p_seconds[seg_slot] += time.perf_counter() - seg_start
             first_round = False
             new_atoms_this_round: List[Atom] = []
-            fired_any = False
             over_budget = False
             apply_slot = -1
             apply_start = 0.0
-            for rule, binding, item in pending:
+            for trigger in pending:
                 statistics.triggers_considered += 1
                 if profiler is not None:
-                    slot = (
-                        prof_slots[rule.index]
-                        if rule is not None
-                        else slot_of_rule_id[item.tgd.rule_id]
-                    )
+                    slot = slot_of_rule_id[trigger.tgd.rule_id]
                     if slot != apply_slot:
                         now = time.perf_counter()
                         if apply_slot >= 0:
@@ -587,36 +502,23 @@ class BaseChaseEngine:
                         apply_slot = slot
                         apply_start = now
                     p_considered[slot] += 1
-                if rule is not None:
-                    key = item
-                    if key in applied:
-                        if profiler is not None:
-                            p_pruned[slot] += 1
-                        continue
-                    trigger = None
-                    result_atoms = self.evaluate(instance, rule, binding)
-                else:
-                    trigger = item
-                    key = self.trigger_key(trigger)
-                    if key in applied:
-                        if profiler is not None:
-                            p_pruned[slot] += 1
-                        continue
-                    result_atoms = (
-                        self.trigger_result(trigger)
-                        if self.is_active(trigger, instance)
-                        else None
-                    )
+                key = self.trigger_key(trigger)
+                if key in applied:
+                    if profiler is not None:
+                        p_pruned[slot] += 1
+                    continue
+                result_atoms = (
+                    self.trigger_result(trigger)
+                    if self.is_active(trigger, instance)
+                    else None
+                )
                 if result_atoms is None:
                     applied.add(key)
                     if profiler is not None:
                         p_pruned[slot] += 1
                     continue
-                if (
-                    self.budget.truncate_at_depth
-                    and self.budget.max_depth is not None
-                ):
-                    kept = [a for a in result_atoms if a.depth() <= self.budget.max_depth]
+                if budget.truncate_at_depth and budget.max_depth is not None:
+                    kept = [a for a in result_atoms if a.depth() <= budget.max_depth]
                     if len(kept) < len(result_atoms):
                         depth_truncated = True
                         # Do not memoise the trigger: it produced atoms we
@@ -631,7 +533,6 @@ class BaseChaseEngine:
                 added = instance.add_all(result_atoms)
                 statistics.triggers_applied += 1
                 statistics.atoms_created += len(added)
-                fired_any = True
                 if profiler is not None:
                     p_fired[slot] += 1
                     if added:
@@ -650,8 +551,6 @@ class BaseChaseEngine:
                 if added:
                     new_atoms_this_round.extend(added)
                     if self.record_derivation:
-                        if trigger is None:
-                            trigger = rule.make_trigger(binding)
                         derivation.append(
                             DerivationStep(
                                 trigger=trigger,
@@ -659,19 +558,19 @@ class BaseChaseEngine:
                                 new_atoms=tuple(added),
                             )
                         )
-                if len(instance) > self.budget.max_atoms:
+                if len(instance) > budget.max_atoms:
                     outcome = ChaseOutcome.ATOM_BUDGET_EXCEEDED
                     over_budget = True
                     break
-                if self.budget.max_depth is not None and any(
-                    a.depth() > self.budget.max_depth for a in added
+                if budget.max_depth is not None and any(
+                    a.depth() > budget.max_depth for a in added
                 ):
                     outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
                     over_budget = True
                     break
                 if (
-                    self.budget.max_seconds is not None
-                    and time.perf_counter() - start > self.budget.max_seconds
+                    budget.max_seconds is not None
+                    and time.perf_counter() - start > budget.max_seconds
                 ):
                     outcome = ChaseOutcome.TIME_BUDGET_EXCEEDED
                     over_budget = True
@@ -707,10 +606,7 @@ class BaseChaseEngine:
                     ),
                 )
             if not new_atoms_this_round:
-                if not fired_any:
-                    outcome = ChaseOutcome.TERMINATED
-                    break
-                # Triggers fired but produced no new atoms: fixpoint reached.
+                # No new atoms (whether or not triggers fired): fixpoint.
                 outcome = ChaseOutcome.TERMINATED
                 break
             delta = new_atoms_this_round
@@ -735,33 +631,66 @@ class BaseChaseEngine:
             profile=profiler.as_dict() if profiler is not None else None,
         )
 
-    def _run_store(
+    def _run_store_columnar(
         self,
         database,
         resume_from: Optional[object] = None,
         database_size: Optional[int] = None,
         checkpoint: Optional[EngineCheckpoint] = None,
     ) -> ChaseResult:
-        """The store-backed driver: the :meth:`run` loop over id tuples.
+        """The store driver: the :meth:`_run_legacy` rounds over id tuples.
 
-        Control flow mirrors :meth:`run` statement for statement (same
-        rounds, same budget checks, same memoisation points), so the
-        two drivers consider and apply exactly the same triggers; only
-        the data plane differs.  Atoms are decoded at exactly two
+        Same trigger sets per round, same memoisation points, same
+        budget verdicts and statistics as the legacy specification —
+        restructured around what the columnar store makes free:
+
+        * the round's delta is the row range past the previous round's
+          :meth:`~repro.model.store.FactStore.row_marks` instead of an
+          accumulated fact list (``delta_pending_rows``);
+        * the containment variants (semi-oblivious, oblivious) evaluate
+          *add-first*: ``store.add`` already reports whether a fact was
+          new, and "some result fact missing" is exactly "some add
+          returned True", so the separate containment scan disappears —
+          and a rule with one head atom and no existentials (the
+          dominant shape in every benchmark family) is one getter call
+          plus one add, no result list at all;
+        * statistics accumulate in locals and fold back once per run.
+
+        Derivation recording and depth truncation need the trigger's
+        result before it is added (truncation filters it, recording
+        decodes what was new), so those runs evaluate every trigger
+        through :meth:`store_evaluate` first.  A truncated trigger is
+        not memoised: it produced facts the run refused to materialise,
+        so it stays pending.  Atoms are decoded at exactly two
         boundaries: derivation recording and the final instance.
 
         With ``resume_from`` the first round is a *delta* round over
         only the facts of ``database`` that the restored store did not
-        already contain: triggers whose body image lies entirely in the
-        old store fired (or were found inactive) in the base run and
-        are never re-enumerated, which is what makes a 5% database
-        delta cost ~5% of the chase instead of 100%.
+        already contain: the row marks are taken before the delta is
+        inserted, so triggers whose body image lies entirely in the old
+        store (fired or found inactive in the base run) are never
+        re-enumerated — a 5% database delta costs ~5% of the chase
+        instead of 100%.
         """
         start = time.perf_counter()
-        delta: List[Fact]
-        first_round = True
+        budget = self.budget
+        truncating = budget.truncate_at_depth and budget.max_depth is not None
+        record = self.record_derivation
         resumed = resume_from is not None
+        # ``marks`` set means the first round is a delta round over the
+        # rows past them; otherwise it enumerates the whole store.
+        marks: Optional[List[int]] = None
+        round_delta = 0
         if checkpoint is not None:
+            if record or truncating:
+                # The rounds before the checkpoint left no derivation
+                # steps or truncation flag behind, so a resumed run
+                # could not report them — refuse instead of returning a
+                # silently partial result.
+                raise ValueError(
+                    "checkpoint resume requires a summary-only run "
+                    "(record_derivation=False, no depth truncation)"
+                )
             # Same-run restart: the checkpointed store already holds the
             # database and every derived fact up to the checkpoint round,
             # so nothing is interned here; the saved marks delimit the
@@ -769,8 +698,7 @@ class BaseChaseEngine:
             # seeded statistics make the final summary read exactly like
             # an uninterrupted run's.
             store = FactStore.restore(checkpoint.store_blob)
-            delta = []
-            first_round = False
+            marks = list(checkpoint.marks)
             database_size = checkpoint.database_size
         elif resume_from is not None:
             store = (
@@ -778,31 +706,35 @@ class BaseChaseEngine:
                 if isinstance(resume_from, FactStore)
                 else FactStore.restore(resume_from)
             )
-            delta = []
-            for a in database:
-                pid, ids = store.intern_atom(a)
-                if store.add(pid, ids):
-                    delta.append((pid, ids))
-            first_round = False
+            # Intern first, mark, then add: the marks cover every
+            # predicate the delta mentions, and the rows past them are
+            # exactly the delta facts the store did not already hold.
+            facts = [store.intern_atom(a) for a in database]
+            marks = store.row_marks()
+            size_before = len(store)
+            for pid, ids in facts:
+                store.add(pid, ids)
+            round_delta = len(store) - size_before
             if database_size is None:
                 database_size = len(database)
         elif isinstance(database, FactStore):
             store = database
-            delta = []
             database_size = len(store)
+            round_delta = len(store)
         else:
             store = FactStore()
-            delta = [store.add_atom(a) for a in database]
+            for a in database:
+                store.add_atom(a)
             database_size = len(database)
+            round_delta = len(store)
         statistics = ChaseStatistics()
-        derivation: List[DerivationStep] = []
         applied: Set = set()
+        derivation: List[DerivationStep] = []
         outcome = ChaseOutcome.TERMINATED
         depth_truncated = False
         profiler = self.profile
         if profiler is None:
             driver_start = start
-            prof_slots = None
             enum_seconds = None
             pipeline = StoreTriggerPipeline(self.tgds, store)
         else:
@@ -822,264 +754,16 @@ class BaseChaseEngine:
             p_pruned = profiler.pruned
             p_facts = profiler.facts
             p_nulls = profiler.nulls
-            slot = -1
         self._begin_store_run()
-        budget = self.budget
-        uses_frontier = self.uses_frontier_identity
-        store_evaluate = self.store_evaluate
-        add_fact = store.add
-        fact_depth = store.fact_depth
         base_rounds = (store.restored_rounds or 0) if resumed else 0
-        if store.layout == "arrays" and not self.record_derivation and not (
-            budget.truncate_at_depth and budget.max_depth is not None
-        ):
-            # The columnar fast loop: same rounds, same memo points,
-            # same budget verdicts — but deltas are row ranges and the
-            # dominant rule shape is evaluated inline.
-            return self._run_store_columnar(
-                store, pipeline, delta, first_round, database_size, start,
-                resumed=resumed, base_rounds=base_rounds,
-                prof_slots=prof_slots, enum_seconds=enum_seconds,
-                driver_start=driver_start,
-                checkpoint=checkpoint,
-            )
-        if checkpoint is not None:
-            # The executor only checkpoints runs it started on this
-            # driver, so reaching here means the configuration changed
-            # between attempts — refuse rather than silently terminate
-            # on an empty delta.
-            raise ValueError(
-                "checkpoint resume requires the arrays-layout summary driver "
-                "(no derivation recording, no depth truncation)"
-            )
-
-        probe = self.probe
-        round_delta = 0
-        considered_before = applied_before = created_before = 0
-        nulls_before = builds_before = 0
-        # Segment carry across rounds — see _run_store_columnar: a
-        # segment closes only where another opens, so round bookkeeping
-        # is attributed to the adjacent rule.
-        apply_slot = -1
-        apply_start = 0.0
-        seg_nulls = 0
-        if profiler is not None:
-            apply_start = time.perf_counter()
-            seg_nulls = store.null_count()
-        while True:
-            if statistics.rounds >= budget.max_rounds:
-                outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
-                break
-            if probe is not None:
-                probe.begin_round()
-                round_delta = len(delta) if not first_round else len(store)
-                considered_before = statistics.triggers_considered
-                applied_before = statistics.triggers_applied
-                created_before = statistics.atoms_created
-                nulls_before = store.null_count()
-                builds_before = store.index_builds
-            if profiler is not None and apply_slot >= 0:
-                now = time.perf_counter()
-                p_seconds[apply_slot] += now - apply_start
-                p_nulls[apply_slot] += store.null_count() - seg_nulls
-                apply_slot = -1
-            # Materialise the round's triggers up front; the pending
-            # list aliases no live posting list, so applying triggers
-            # below is free to mutate the store.
-            pending = (
-                pipeline.initial_pending(store, uses_frontier, enum_seconds)
-                if first_round
-                else pipeline.delta_pending(store, delta, uses_frontier, enum_seconds)
-            )
-            if profiler is not None:
-                apply_start = time.perf_counter()
-                seg_nulls = store.null_count()
-            first_round = False
-            new_facts: List[Fact] = []
-            over_budget = False
-            for rule, ids, key in pending:
-                statistics.triggers_considered += 1
-                if profiler is not None:
-                    slot = prof_slots[rule.index]
-                    if slot != apply_slot:
-                        # One clock read + one O(1) null_count per rule
-                        # segment; the pending list is rule-major so
-                        # nothing here is per trigger.  An opening
-                        # segment keeps the enumeration-end anchor.
-                        if apply_slot >= 0:
-                            now = time.perf_counter()
-                            null_mark = store.null_count()
-                            p_seconds[apply_slot] += now - apply_start
-                            p_nulls[apply_slot] += null_mark - seg_nulls
-                            apply_start = now
-                            seg_nulls = null_mark
-                        apply_slot = slot
-                    p_considered[slot] += 1
-                if key in applied:
-                    if profiler is not None:
-                        p_pruned[slot] += 1
-                    continue
-                result_facts = store_evaluate(store, rule, ids, key)
-                if result_facts is None:
-                    applied.add(key)
-                    if profiler is not None:
-                        p_pruned[slot] += 1
-                    continue
-                if budget.truncate_at_depth and budget.max_depth is not None:
-                    kept = [
-                        f for f in result_facts if fact_depth(f[1]) <= budget.max_depth
-                    ]
-                    if len(kept) < len(result_facts):
-                        depth_truncated = True
-                        # Not memoised: the trigger stays pending (see run()).
-                        result_facts = kept
-                        if not result_facts:
-                            continue
-                    else:
-                        applied.add(key)
-                else:
-                    applied.add(key)
-                added = [f for f in result_facts if add_fact(f[0], f[1])]
-                statistics.triggers_applied += 1
-                statistics.atoms_created += len(added)
-                if profiler is not None:
-                    p_fired[slot] += 1
-                    p_facts[slot] += len(added)
-                if added:
-                    new_facts.extend(added)
-                    if self.record_derivation:
-                        trigger = rule.make_trigger(store, ids)
-                        derivation.append(
-                            DerivationStep(
-                                trigger=trigger,
-                                guard_image=trigger.guard_image(),
-                                new_atoms=tuple(
-                                    store.decode_fact(pid, fids) for pid, fids in added
-                                ),
-                            )
-                        )
-                if len(store) > budget.max_atoms:
-                    outcome = ChaseOutcome.ATOM_BUDGET_EXCEEDED
-                    over_budget = True
-                    break
-                if budget.max_depth is not None and any(
-                    fact_depth(fids) > budget.max_depth for _, fids in added
-                ):
-                    outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                    over_budget = True
-                    break
-                if (
-                    budget.max_seconds is not None
-                    and time.perf_counter() - start > budget.max_seconds
-                ):
-                    outcome = ChaseOutcome.TIME_BUDGET_EXCEEDED
-                    over_budget = True
-                    break
-            statistics.rounds += 1
-            if probe is not None:
-                probe.end_round(
-                    round_delta,
-                    statistics.triggers_considered - considered_before,
-                    statistics.triggers_applied - applied_before,
-                    statistics.atoms_created - created_before,
-                    nulls_invented=store.null_count() - nulls_before,
-                    index_builds=store.index_builds - builds_before,
-                )
-            if over_budget:
-                break
-            if self.round_hook is not None:
-                self.round_hook(
-                    statistics.rounds,
-                    store,
-                    None,
-                    (
-                        statistics.triggers_considered,
-                        statistics.triggers_applied,
-                        statistics.atoms_created,
-                    ),
-                )
-            if not new_facts:
-                outcome = ChaseOutcome.TERMINATED
-                break
-            delta = new_facts
-
-        statistics.wall_seconds = time.perf_counter() - start
-        if profiler is not None:
-            # Driver window closes before the O(store) observe_store
-            # sweep — profiler bookkeeping is not driver time.
-            driver_end = time.perf_counter()
-            if apply_slot >= 0:
-                p_seconds[apply_slot] += driver_end - apply_start
-                p_nulls[apply_slot] += store.null_count() - seg_nulls
-            profiler.add_rule_seconds(prof_slots, enum_seconds)
-            profiler.observe_store(store)
-            profiler.finish_run(
-                driver_end - driver_start,
-                setup_seconds=driver_start - start,
-                engine="store",
-            )
-        return ChaseResult(
-            _store=store,
-            _atom_count=len(store),
-            terminated=outcome is ChaseOutcome.TERMINATED,
-            outcome=outcome,
-            statistics=statistics,
-            max_depth=store.max_depth(),
-            database_size=database_size,
-            derivation=tuple(derivation),
-            depth_truncated=depth_truncated,
-            telemetry=probe.as_dict() if probe is not None else None,
-            profile=profiler.as_dict() if profiler is not None else None,
-            resumed=resumed,
-            base_rounds=base_rounds,
-        )
-
-    def _run_store_columnar(
-        self,
-        store: FactStore,
-        pipeline: StoreTriggerPipeline,
-        delta: List[Fact],
-        first_round: bool,
-        database_size: int,
-        start: float,
-        resumed: bool = False,
-        base_rounds: int = 0,
-        prof_slots: Optional[List[int]] = None,
-        enum_seconds: Optional[List[float]] = None,
-        driver_start: Optional[float] = None,
-        checkpoint: Optional[EngineCheckpoint] = None,
-    ) -> ChaseResult:
-        """The arrays-layout driver loop (summary mode).
-
-        Semantically identical to the loop in :meth:`_run_store` —
-        same trigger sets per round, same memoisation points, same
-        budget verdicts, same statistics — restructured around what the
-        columnar layout makes free:
-
-        * the round's delta is the row range past the previous round's
-          :meth:`~repro.model.store.FactStore.row_marks` instead of an
-          accumulated fact list (``delta_pending_rows``);
-        * the containment variants (semi-oblivious, oblivious) evaluate
-          *add-first*: ``store.add`` already reports whether a fact was
-          new, and "some result fact missing" is exactly "some add
-          returned True", so the separate containment scan disappears —
-          and a rule with one head atom and no existentials (the
-          dominant shape in every benchmark family) is one getter call
-          plus one add, no result list at all;
-        * statistics accumulate in locals and fold back once per run.
-
-        Derivation-recording and depth-truncating runs take the
-        general loop instead (they need per-trigger added-atom lists),
-        which keeps this loop free of both.
-        """
-        statistics = ChaseStatistics()
-        applied: Set = set()
-        outcome = ChaseOutcome.TERMINATED
-        budget = self.budget
         uses_frontier = self.uses_frontier_identity
         store_evaluate = self.store_evaluate
+        # Add-first evaluation is only sound when the result is not
+        # inspected before it lands in the store.
         containment = (
             type(self).store_evaluate is BaseChaseEngine._store_evaluate_by_containment
+            and not record
+            and not truncating
         )
         full_labels = not uses_frontier
         add_fact = store.add
@@ -1109,34 +793,24 @@ class BaseChaseEngine:
             fired = 0
             created = 0
         probe = self.probe
-        profiler = self.profile
-        if profiler is not None:
-            p_seconds = profiler.seconds
-            p_considered = profiler.considered
-            p_fired = profiler.fired
-            p_pruned = profiler.pruned
-            p_facts = profiler.facts
-            p_nulls = profiler.nulls
-        round_delta = len(store) if first_round else len(delta)
         considered_before = fired_before = created_before = 0
         nulls_before = builds_before = 0
-        if checkpoint is not None:
-            # Resume the semi-naive loop exactly where the checkpoint
-            # froze it: the saved marks delimit the checkpoint round's
-            # appended rows, so the first iteration's
-            # delta_pending_rows(store, marks) re-derives precisely the
-            # frontier the interrupted run was about to expand.  The
-            # marks cover every pipeline predicate because the original
-            # run took them after pipeline compile interned the
-            # program's schema, and restore preserves interning.
-            pending = None
-            marks = list(checkpoint.marks)
+        if marks is None:
+            pending = pipeline.initial_pending(store, uses_frontier, enum_seconds)
         else:
-            pending = (
-                pipeline.initial_pending(store, uses_frontier, enum_seconds)
-                if first_round
-                else pipeline.delta_pending(store, delta, uses_frontier, enum_seconds)
-            )
+            # A delta round: resume the semi-naive loop over the rows
+            # past the marks.  After a checkpoint the marks delimit the
+            # checkpoint round's appended rows, so the first iteration
+            # re-derives precisely the frontier the interrupted run was
+            # about to expand.  The marks cover every pipeline predicate
+            # because they were taken after pipeline compile interned
+            # the program's schema (checkpoint) or after interning the
+            # delta (resume), and restore preserves interning.
+            pending = None
+        # A checkpoint round that appended nothing was the interrupted
+        # run's last (the hook fires before the fixpoint test): the run
+        # is finished, and running one more empty round would miscount.
+        finished = checkpoint is not None and marks == store.row_marks()
         # Attribution carries one open rule segment across round
         # boundaries: a segment closes only where another opens (next
         # rule, next enumeration, or end of run), so round bookkeeping
@@ -1148,9 +822,9 @@ class BaseChaseEngine:
         # Counters are never bumped per trigger: the loop already
         # maintains considered/fired/created locals, so every segment
         # close derives its per-rule deltas from the anchors taken at
-        # segment open (pruned == considered − fired inside a segment —
-        # every trigger either fires or prunes in this loop).  The
-        # entire per-trigger profiled cost is one identity comparison.
+        # segment open (pruned == considered − fired inside a segment).
+        # The entire per-trigger profiled cost is one identity
+        # comparison.
         apply_slot = -1
         apply_start = 0.0
         seg_nulls = 0
@@ -1159,7 +833,7 @@ class BaseChaseEngine:
         if profiler is not None:
             apply_start = perf_counter()
             seg_nulls = store.null_count()
-        while True:
+        while not finished:
             if rounds >= max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
@@ -1225,8 +899,8 @@ class BaseChaseEngine:
                 considered += 1
                 if key in applied:
                     continue
-                applied_add(key)
                 if containment:
+                    applied_add(key)
                     # Add-first containment: the trigger was active iff
                     # any add reports a new fact — same verdict, same
                     # final store, no separate containment scan.
@@ -1282,21 +956,46 @@ class BaseChaseEngine:
                 else:
                     result_facts = store_evaluate(store, rule, ids, key)
                     if result_facts is None:
+                        applied_add(key)
                         continue
+                    if truncating:
+                        kept = [
+                            f for f in result_facts if fact_depth(f[1]) <= depth_limit
+                        ]
+                        if len(kept) < len(result_facts):
+                            depth_truncated = True
+                            # Not memoised: the trigger stays pending.
+                            if not kept:
+                                continue
+                            result_facts = kept
+                        else:
+                            applied_add(key)
+                    else:
+                        applied_add(key)
                     fired += 1
-                    deep = False
-                    for pid, fact_ids in result_facts:
-                        if add_fact(pid, fact_ids):
-                            created += 1
-                            if (
-                                depth_limit is not None
-                                and fact_depth(fact_ids) > depth_limit
-                            ):
-                                deep = True
-                    if deep:
-                        outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                        over_budget = True
-                        break
+                    added_facts = [f for f in result_facts if add_fact(f[0], f[1])]
+                    created += len(added_facts)
+                    if added_facts:
+                        if record:
+                            trigger = rule.make_trigger(store, ids)
+                            derivation.append(
+                                DerivationStep(
+                                    trigger=trigger,
+                                    guard_image=trigger.guard_image(),
+                                    new_atoms=tuple(
+                                        store.decode_fact(pid, fact_ids)
+                                        for pid, fact_ids in added_facts
+                                    ),
+                                )
+                            )
+                        if depth_limit is not None and any(
+                            fact_depth(f[1]) > depth_limit for f in added_facts
+                        ) and not (record and len(store) > max_atoms):
+                            # Recording runs test the atom budget first,
+                            # as the legacy specification does.
+                            outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+                            over_budget = True
+                            break
                 if len(store) > max_atoms:
                     outcome = ChaseOutcome.ATOM_BUDGET_EXCEEDED
                     over_budget = True
@@ -1363,8 +1062,8 @@ class BaseChaseEngine:
             statistics=statistics,
             max_depth=store.max_depth(),
             database_size=database_size,
-            derivation=(),
-            depth_truncated=False,
+            derivation=tuple(derivation),
+            depth_truncated=depth_truncated,
             telemetry=probe.as_dict() if probe is not None else None,
             profile=profiler.as_dict() if profiler is not None else None,
             resumed=resumed,

@@ -8,12 +8,11 @@ active triggers level by level, which yields one particular fair
 derivation.  The paper's introduction recommends it for RAM-based
 implementations; we include it as a comparison baseline.
 
-All engines decide activeness through one implementation per data
-plane: :func:`head_extension_exists` for term-level instances (shared
-by :meth:`Trigger.is_active_restricted` and the plans engine, so the
-two cannot drift) and
-:meth:`~repro.chase.store_plan.StoreCompiledRule.head_satisfied` on the
-store path, which the equivalence suite pins to the same verdicts.
+Both engines decide activeness through one implementation per data
+plane: :func:`head_extension_exists` for term-level instances (behind
+:meth:`Trigger.is_active_restricted`, which the legacy engine calls)
+and :meth:`~repro.chase.store_plan.StoreCompiledRule.head_satisfied` on
+the store path, which the equivalence suite pins to the same verdicts.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.model.instance import Database, Instance
 from repro.model.terms import Constant
 from repro.model.tgd import TGDSet
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
-from repro.chase.plan import CompiledRule
 from repro.chase.trigger import Trigger
 
 
@@ -37,8 +35,8 @@ def head_extension_exists(
     """True iff some ``h' ⊇ h|fr(σ)`` maps the head into ``instance``.
 
     The single term-level implementation of the restricted chase's
-    head-satisfaction test (the negation of activeness), used by both
-    the trigger API and the plans engine.  Runs on a compiled head plan
+    head-satisfaction test (the negation of activeness), used by the
+    trigger API and with it the legacy engine.  Runs on a compiled head plan
     cached per (head, frontier), so repeated checks of the same rule
     reuse one plan.
     """
@@ -49,7 +47,6 @@ class RestrictedChase(BaseChaseEngine):
     """Restricted chase engine: fire only when the head is not yet satisfied."""
 
     uses_frontier_identity = True
-    supports_store_engine = True
 
     def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
                  record_derivation: bool = True, compiled: bool = True,
@@ -78,13 +75,6 @@ class RestrictedChase(BaseChaseEngine):
         binding = dict(trigger.frontier_binding())
         binding["__fire__"] = Constant(f"fire{next(self._fire_counter)}")
         return trigger.result(null_binding=binding)
-
-    def evaluate(
-        self, instance: Instance, rule: CompiledRule, binding
-    ) -> Optional[List[Atom]]:
-        if head_extension_exists(rule.tgd.head, instance, rule.frontier_binding(binding)):
-            return None
-        return self.trigger_result(rule.make_trigger(binding))
 
     # -- store engine --------------------------------------------------------
 

@@ -1,22 +1,20 @@
 """Compiled rule plans over the interned fact store.
 
-This is the :mod:`repro.chase.plan` pipeline recompiled against
-:class:`~repro.model.store.FactStore`: the same greedy join orders, the
-same per-atom bound-position templates, the same semi-naive delta
-routing — but every slot array holds dense term ids, candidate
-enumeration intersects posting lists of packed int tuples, and trigger
-keys, null labels and result facts are all built by indexing id tuples.
-No :class:`~repro.model.atoms.Atom` or
-:class:`~repro.model.terms.Null` object is constructed on this path;
-decoding happens only at API boundaries (derivation recording, the
-final :class:`~repro.model.instance.Instance`).
+Each TGD is compiled once per run into a :class:`StoreCompiledRule`:
+a body join plan, one semi-naive delta plan per body atom, and
+frontier/head templates for trigger keys, null labels and result
+facts.  Every slot array holds dense term ids, candidate enumeration
+intersects posting lists of packed int tuples, and keys, labels and
+facts are all built by indexing id tuples.  No
+:class:`~repro.model.atoms.Atom` or :class:`~repro.model.terms.Null`
+object is constructed on this path; decoding happens only at API
+boundaries (derivation recording, the final
+:class:`~repro.model.instance.Instance`).
 
-Structure sharing with the term-level pipeline is deliberate: the atom
-order comes from :func:`~repro.model.homomorphism._plan_order` and the
-position templates from
-:func:`~repro.model.homomorphism.classify_atom_positions`, so the two
-compiled engines enumerate the same joins and the equivalence suite
-can compare them homomorphism for homomorphism.
+The atom order comes from :func:`~repro.model.homomorphism._plan_order`
+and the position templates from
+:func:`~repro.model.homomorphism.classify_atom_positions`, the same
+greedy planner the term-level homomorphism search uses.
 """
 
 from __future__ import annotations
@@ -312,8 +310,7 @@ class StoreCompiledRule:
     """Everything per-TGD the store-backed chase needs, computed once.
 
     A :data:`CanonicalIds` tuple lays out the body homomorphism's term
-    ids in sorted-variable order, exactly like the term-level
-    :class:`~repro.chase.plan.CompiledRule` canonical; trigger keys are
+    ids in sorted-variable order; trigger keys are
     ``(rule index, id tuple)``.  Null labels are parallel
     (names, ids) tuples whose name components are precomputed per rule
     and labelling mode, in the sorted order
@@ -477,12 +474,6 @@ class StoreCompiledRule:
                 tuple(repeat_checks),
             )
 
-    # -- trigger identity ---------------------------------------------------
-
-    def frontier_ids(self, canonical: CanonicalIds) -> CanonicalIds:
-        """``h|fr(σ)`` as an id tuple (semi-oblivious/restricted key)."""
-        return self.frontier_get(canonical)
-
     # -- results ------------------------------------------------------------
 
     def result_facts(
@@ -562,8 +553,8 @@ class StoreCompiledRule:
         if single is not None:
             pid, signature, value_get, bound_template, repeat_checks = single
             if not repeat_checks:
-                # Existence only: on the arrays layout this is one
-                # lookup in the (pid, signature) projection index.
+                # Existence only: one lookup in the (pid, signature)
+                # projection index.
                 return store.has_projection(pid, signature, value_get(canonical))
             bound = [(position, canonical[i]) for position, i in bound_template]
             for ids in store.candidates(pid, bound):
@@ -617,14 +608,13 @@ PendingTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]
 class StoreTriggerPipeline:
     """Relevance-routed trigger enumeration over the fact store.
 
-    The id-space twin of :class:`~repro.chase.plan.TriggerPipeline`:
-    one :class:`StoreCompiledRule` per TGD, a ``pid -> [(rule, body
+    One :class:`StoreCompiledRule` per TGD, a ``pid -> [(rule, body
     index)]`` relevance map, and per-round dedup of repeated body
-    images by their compact ``(rule index, id tuple)`` key.  Unlike the
-    term pipeline it hands the driver fully keyed *pending lists*
-    rather than a generator: the round's triggers are materialised
-    before application anyway, and building them in one flat loop
-    avoids per-trigger generator resumptions on the hottest path.
+    images by their compact ``(rule index, id tuple)`` key.  The
+    pipeline hands the driver fully keyed *pending lists* rather than
+    a generator: the round's triggers are materialised before
+    application anyway, and building them in one flat loop avoids
+    per-trigger generator resumptions on the hottest path.
     """
 
     def __init__(
@@ -678,94 +668,6 @@ class StoreTriggerPipeline:
                 rule_seconds[rule_index] += perf_counter() - enum_start
         return pending
 
-    def delta_pending(
-        self,
-        store: FactStore,
-        delta: Sequence[Fact],
-        uses_frontier: bool,
-        rule_seconds: Optional[List[float]] = None,
-    ) -> List[PendingTrigger]:
-        """Keyed triggers whose body image uses at least one delta fact.
-
-        A rule with a single-atom body cannot produce the same
-        canonical from two distinct forced facts (the canonical is a
-        permutation of the fact), and it has no second delta entry to
-        collide with — such entries skip the round-local ``seen`` set
-        entirely.
-
-        ``rule_seconds`` attributes enumeration time per rule.  The
-        entry walk is rule-major (every rule's body atoms are
-        consecutive), so the clock is read only where the owning rule
-        changes, never per forced fact or trigger.
-        """
-        by_pid: Dict[int, List[Tuple[int, ...]]] = {}
-        relevance = self.relevance
-        for pid, ids in delta:
-            if pid in relevance:
-                by_pid.setdefault(pid, []).append(ids)
-        pending: List[PendingTrigger] = []
-        if not by_pid:
-            return pending
-        append = pending.append
-        seen: Set[Tuple[int, CanonicalIds]] = set()
-        seen_add = seen.add
-        seg_index = -1
-        # The first segment opens at function entry, not at the first
-        # boundary: per-call prologue (local binds, the seen set) lands
-        # on the first rule instead of vanishing from the attribution —
-        # µs of noise per call, but rounds can number in the hundreds
-        # of thousands.
-        seg_start = perf_counter() if rule_seconds is not None else 0.0
-        for rule, index, pid in self._delta_entries:
-            if rule_seconds is not None and rule.index != seg_index:
-                if seg_index >= 0:
-                    now = perf_counter()
-                    rule_seconds[seg_index] += now - seg_start
-                    seg_start = now
-                seg_index = rule.index
-            forced_facts = by_pid.get(pid)
-            if not forced_facts:
-                continue
-            delta_plan = rule.delta_plans[index]
-            rule_index = rule.index
-            key_get = rule.frontier_get if uses_frontier else None
-            dedup = len(rule.delta_plans) > 1
-            direct = delta_plan._direct_get
-            if direct is not None and not dedup:
-                # Linear rule: one delta entry, injective pattern match.
-                direct_checks = delta_plan._direct_checks
-                consts = delta_plan.consts
-                for forced in forced_facts:
-                    ok = True
-                    for position, tid in consts:
-                        if forced[position] != tid:
-                            ok = False
-                            break
-                    if ok:
-                        for position, first in direct_checks:
-                            if forced[position] != forced[first]:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    canonical = direct(forced)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
-                continue
-            for forced in forced_facts:
-                for canonical in delta_plan.canonicals(store, forced):
-                    dedup_key = (rule_index, canonical)
-                    if dedup_key in seen:
-                        continue
-                    seen_add(dedup_key)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
-        if rule_seconds is not None and seg_index >= 0:
-            rule_seconds[seg_index] += perf_counter() - seg_start
-        return pending
-
-    # (classic delta_pending above; columnar row-mark twin below)
-
     def delta_pending_rows(
         self,
         store: FactStore,
@@ -773,17 +675,27 @@ class StoreTriggerPipeline:
         uses_frontier: bool,
         rule_seconds: Optional[List[float]] = None,
     ) -> List[PendingTrigger]:
-        """:meth:`delta_pending` over columnar row marks (arrays layout).
+        """Keyed triggers whose body image uses at least one delta fact.
 
-        The delta is not a fact list but the row ranges past ``marks``
-        (the per-predicate row counts captured before the previous
-        round applied): new facts simply occupy the tail of their row
-        table, so the per-round regrouping by predicate disappears.
-        The enumerated trigger set and order match
-        :meth:`delta_pending` exactly — per (rule, body index) in
-        registration order, forced facts in insertion order — and the
-        linear-rule fast path builds its pending entries with a single
+        The delta is the row ranges past ``marks`` (the per-predicate
+        row counts captured before the previous round applied, or
+        before a resumed run inserted its database delta): new facts
+        simply occupy the tail of their row table, so no per-round
+        regrouping by predicate is needed.  Triggers come out per
+        (rule, body index) in registration order, forced facts in
+        insertion order.
+
+        A rule with a single-atom body cannot produce the same
+        canonical from two distinct forced facts (the canonical is a
+        permutation of the fact), and it has no second delta entry to
+        collide with — such entries skip the round-local ``seen`` set
+        entirely, and build their pending entries with a single
         C-level ``map`` over the row slice.
+
+        ``rule_seconds`` attributes enumeration time per rule.  The
+        entry walk is rule-major (every rule's body atoms are
+        consecutive), so the clock is read only where the owning rule
+        changes, never per forced fact or trigger.
         """
         pending: List[PendingTrigger] = []
         append = pending.append
@@ -791,8 +703,11 @@ class StoreTriggerPipeline:
         seen_add = seen.add
         rows_since = store.rows_since
         seg_index = -1
-        # First segment opens at entry (see delta_pending): the per-call
-        # prologue is charged to the first rule.
+        # The first segment opens at function entry, not at the first
+        # boundary: per-call prologue (local binds, the seen set) lands
+        # on the first rule instead of vanishing from the attribution —
+        # µs of noise per call, but rounds can number in the hundreds
+        # of thousands.
         seg_start = perf_counter() if rule_seconds is not None else 0.0
         for rule, index, pid in self._delta_entries:
             if rule_seconds is not None and rule.index != seg_index:

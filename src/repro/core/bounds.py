@@ -20,6 +20,8 @@ naive decision procedure.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Optional
 
 from repro.model.tgd import TGDSet
@@ -74,6 +76,20 @@ def size_bound_factor(tgds: TGDSet, tgd_class: TGDClass | None = None) -> int:
     norm = max(tgds.norm(), 1)
     arity = max(tgds.arity(), 1)
     return (depth + 1) * norm ** (2 * arity * (depth + 1))
+
+
+def size_bound_factor_magnitude(tgds: TGDSet, tgd_class: TGDClass | None = None) -> str:
+    """``magnitude(size_bound_factor(tgds))`` without materialising ``f_C``.
+
+    For guarded sets the exponent ``2·ar(Σ)·(d_G(Σ)+1)`` alone can have
+    hundreds of thousands of digits, so the power is never built; see
+    :func:`power_magnitude`.
+    """
+    tgd_class = tgd_class or classify(tgds)
+    depth = depth_bound(tgds, tgd_class)
+    norm = max(tgds.norm(), 1)
+    arity = max(tgds.arity(), 1)
+    return power_magnitude(depth + 1, norm, 2 * arity * (depth + 1))
 
 
 def size_bound(database_size: int, tgds: TGDSet, tgd_class: TGDClass | None = None) -> int:
@@ -139,6 +155,33 @@ def magnitude(value: int, threshold_digits: int = 30) -> str:
     if digits_estimate <= threshold_digits:
         return str(value)
     return f"~10^{digits_estimate - 1}"
+
+
+#: Up to this many (estimated) bits :func:`power_magnitude` builds the
+#: integer and renders it exactly as :func:`magnitude` does; a power of
+#: this size takes milliseconds.
+_EXACT_MAGNITUDE_BITS = 1 << 20
+
+
+def power_magnitude(coefficient: int, base: int, exponent: int) -> str:
+    """:func:`magnitude` of ``coefficient · base^exponent``.
+
+    Values of up to about ``2^20`` bits are built and rendered exactly
+    like :func:`magnitude`; beyond that the bit length is taken from
+    logarithms (exact rational arithmetic on the float ``log2`` values,
+    so an exponent too large for a float still works) and rendered the
+    same way, as ``~10^k`` — or ``~10^(~10^j)`` once ``k`` itself has
+    more than 30 digits.
+    """
+    if coefficient.bit_length() + exponent * max(base.bit_length() - 1, 0) <= (
+        _EXACT_MAGNITUDE_BITS
+    ):
+        return magnitude(coefficient * base**exponent)
+    bits = int(Fraction(math.log2(coefficient)) + exponent * Fraction(math.log2(base))) + 1
+    decimal_exponent = magnitude(int(bits * Fraction(30103, 100000)))
+    if decimal_exponent.startswith("~"):
+        return f"~10^({decimal_exponent})"
+    return f"~10^{decimal_exponent}"
 
 
 def sl_lower_bound_value(database_size: int, predicates: int, arity: int) -> int:

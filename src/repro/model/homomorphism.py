@@ -195,8 +195,8 @@ def classify_atom_positions(
     is already in ``bound`` (usable for index lookups), first
     occurrences of fresh variables (bind the slot), and repeated
     occurrences within this atom (check against the just-bound slot).
-    Shared by :meth:`BodyPlan._build_steps` and the delta-plan pattern
-    matcher in ``chase/plan.py``.
+    Shared by :meth:`BodyPlan._build_steps` and the store engine's
+    compiled plans in ``chase/store_plan.py``.
     """
     consts: List[Tuple[int, Term]] = []
     lookups: List[Tuple[int, int]] = []
@@ -225,8 +225,8 @@ def _plan_order(
 
     Variables in ``bound`` count as already bound (they come from a seed
     known at compile time), and ``selectivity`` (a per-predicate atom
-    count, see :meth:`Instance.count`) breaks ties in favour of smaller
-    relations.
+    count, e.g. :meth:`FactStore.count` for the store engine's plans)
+    breaks ties in favour of smaller relations.
     """
     remaining = list(atoms)
     if not remaining:
@@ -273,9 +273,6 @@ class BodyPlan:
         Variables that every seed passed to :meth:`enumerate` will bind.
         Seeding a different variable set still works (the templates are
         rebuilt for that call) but loses the precompiled fast path.
-    selectivity:
-        Optional per-predicate atom count used to refine the join order
-        (smaller relations first among otherwise equal choices).
     """
 
     __slots__ = (
@@ -292,12 +289,11 @@ class BodyPlan:
         self,
         atoms: Sequence[Atom],
         bound_first: Iterable[Variable] = (),
-        selectivity: Optional[Callable[[Predicate], int]] = None,
     ) -> None:
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
         self._bound_first: FrozenSet[Variable] = frozenset(bound_first)
         self.ordered: Tuple[Atom, ...] = tuple(
-            _plan_order(self.atoms, self._bound_first, selectivity)
+            _plan_order(self.atoms, self._bound_first, None)
         )
         # Slot assignment: bound-first variables get the low slots, the
         # rest follow in order of first appearance along the atom order.
@@ -416,15 +412,8 @@ _PLAN_CACHE_CAP = 8192
 def compile_plan(
     atoms: Sequence[Atom],
     bound_first: Iterable[Variable] = (),
-    selectivity: Optional[Callable[[Predicate], int]] = None,
 ) -> BodyPlan:
-    """Compile (or fetch from cache) the :class:`BodyPlan` for ``atoms``.
-
-    Plans compiled with a ``selectivity`` hint are not cached: the hint
-    is a property of one instance, not of the body.
-    """
-    if selectivity is not None:
-        return BodyPlan(atoms, bound_first, selectivity)
+    """Compile (or fetch from cache) the :class:`BodyPlan` for ``atoms``."""
     key = (tuple(atoms), frozenset(bound_first))
     plan = _PLAN_CACHE.get(key)
     if plan is None:

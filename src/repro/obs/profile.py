@@ -7,9 +7,8 @@ rules:
 
 compile
     Each rule's plan compilation inside the trigger pipeline
-    (:class:`~repro.chase.store_plan.StoreTriggerPipeline` /
-    :class:`~repro.chase.plan.TriggerPipeline`), timed per rule at
-    construction.
+    (:class:`~repro.chase.store_plan.StoreTriggerPipeline`), timed per
+    rule at construction.
 enumerate
     Trigger enumeration.  Pending lists are built rule-major (the
     pipelines walk rules, then their delta entries, in registration
@@ -25,7 +24,7 @@ apply
 Trigger counters (considered / fired / pruned) and produced facts are
 exact per rule.  Nulls invented are exact on the store engine (O(1)
 ``null_count()`` diffs at segment boundaries) and counted from the
-rule's existential variables on the term-level engines.
+rule's existential variables on the legacy engine.
 
 Like the probe, the profiler is strictly opt-in: ``profile=None`` (the
 default) keeps every driver on its profile-free path and the summary

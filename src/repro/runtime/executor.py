@@ -284,7 +284,7 @@ class BatchExecutor:
     cache: Optional[ResultCache] = None
     materialize: bool = False
     per_job_timeout: Optional[float] = None
-    #: Chase engine implementation ("store", "plans", "legacy"); None
+    #: Chase engine implementation (one of ``ENGINES``); None
     #: selects the library default.  Deliberately *not* part of the
     #: result cache key: the engines are equivalence-tested, so a
     #: summary replayed across engines is still correct.

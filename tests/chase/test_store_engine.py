@@ -12,6 +12,7 @@ result is the unique full closure).
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -45,6 +46,21 @@ from repro.model.serialization import (
 from repro.model.tgd import TGD, TGDSet
 
 BUDGET = ChaseBudget(max_atoms=20_000, max_rounds=200)
+
+#: Same caps plus depth truncation at depth 2 (the linearization's
+#: completion mode): every family below gets truncated somewhere.
+TRUNCATE = ChaseBudget(
+    max_atoms=20_000, max_rounds=200, max_depth=2, truncate_at_depth=True
+)
+
+with open(os.path.join(os.path.dirname(__file__), "pinned_summaries.json")) as _handle:
+    #: Summaries pinned at the last commit that carried the deleted
+    #: execution configurations (see the file's ``_comment``).
+    PINNED = json.load(_handle)
+
+
+def summary_json(result) -> str:
+    return json.dumps(result.summary(), sort_keys=True)
 
 FAMILIES = [
     ("prop45", prop45_family(6)),
@@ -157,16 +173,23 @@ def test_store_matches_legacy_on_families(name, workload, runner):
 @pytest.mark.parametrize("name,workload", FAMILIES[:5], ids=[n for n, _ in FAMILIES[:5]])
 @pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
 def test_store_matches_plans_engine(name, workload, runner):
+    """The store engine reproduces what the deleted term-level plans
+    engine computed: its (size, applied, considered) counts are pinned,
+    and the instance is held to the legacy specification, which the
+    plans engine matched atom for atom."""
     database, tgds = workload
     if runner is restricted_chase and name not in RESTRICTED_ORDER_INVARIANT:
         pytest.skip("restricted comparison is only exact on order-invariant families")
+    variant = VARIANT_IDS[VARIANTS.index(runner)]
     store = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    plans = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="plans")
-    assert store.size == plans.size
-    assert store.statistics.triggers_applied == plans.statistics.triggers_applied
-    assert store.statistics.triggers_considered == plans.statistics.triggers_considered
+    assert [
+        store.size,
+        store.statistics.triggers_applied,
+        store.statistics.triggers_considered,
+    ] == PINNED["plans"][f"{name}/{variant}"]
     if runner is not restricted_chase:
-        assert store.instance == plans.instance
+        legacy = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="legacy")
+        assert store.instance == legacy.instance
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -225,7 +248,7 @@ def test_restricted_store_matches_legacy_on_full_programs(seed):
 def test_restricted_activeness_matches_reference_search(seed):
     """The consolidated activeness implementation stays anchored to the
     executable specification: ``Trigger.is_active_restricted`` (shared
-    by the legacy and plans engines via ``head_extension_exists``) must
+    by the legacy engine via ``head_extension_exists``) must
     agree with a direct reference-enumerator head search on every
     trigger of a randomized instance."""
     from repro.chase.trigger import Trigger
@@ -302,14 +325,25 @@ class TestEngineSelection:
         assert SemiObliviousChase(tgds, compiled=False).engine == "legacy"
         assert SemiObliviousChase(tgds).engine == "store"
 
-    def test_custom_subclass_falls_back_to_plans(self):
-        # A subclass that never implemented the id-space hooks must
-        # still run under the default engine selection.
-        class Custom(SemiObliviousChase):
-            supports_store_engine = False
+    def test_custom_subclass_requires_legacy_engine(self):
+        # A subclass that only implements the term-level hooks runs on
+        # the legacy engine; the store engine refuses it loudly.
+        class Custom(BaseChaseEngine):
+            uses_frontier_identity = True
+
+            def trigger_key(self, trigger):
+                return trigger.frontier_key()
+
+            def is_active(self, trigger, instance):
+                return trigger.is_active_semi_oblivious(instance)
+
+            def trigger_result(self, trigger):
+                return trigger.result()
 
         database, tgds = prop45_family(4)
-        result = Custom(tgds).run(database)
+        with pytest.raises(NotImplementedError):
+            Custom(tgds).run(database)
+        result = Custom(tgds, engine="legacy").run(database)
         reference = semi_oblivious_chase(database, tgds, engine="legacy")
         assert result.instance == reference.instance
 
@@ -374,46 +408,53 @@ def test_store_derivation_order_is_hash_seed_independent():
 
 
 # ---------------------------------------------------------------------------
-# Storage layouts: the columnar (arrays) layout vs the sets fallback
+# One store driver: summaries pinned across its modes and the deleted
+# configurations (the sets layout and the separate recording driver)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,workload", FAMILIES, ids=[n for n, _ in FAMILIES])
 @pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
-def test_arrays_layout_matches_sets_layout(name, workload, runner, monkeypatch):
-    """REPRO_STORE_LAYOUT=sets must reproduce the columnar results.
+def test_arrays_layout_matches_sets_layout(name, workload, runner):
+    """The columnar store reproduces the deleted sets layout's results.
 
-    Summary mode (record_derivation=False) routes the arrays layout
-    through the columnar driver loop and the sets layout through the
-    general loop, so this also pins the two drivers to each other.
+    The sets layout ran summary mode through the separate recording
+    driver; its summaries, identical to the columnar layout's at the
+    last commit carrying both, are pinned in ``pinned_summaries.json``.
     """
     if runner is restricted_chase and name not in RESTRICTED_ORDER_INVARIANT:
         pytest.skip("restricted comparison is only exact on order-invariant families")
     database, tgds = workload
-    monkeypatch.setenv("REPRO_STORE_LAYOUT", "arrays")
+    variant = VARIANT_IDS[VARIANTS.index(runner)]
     arrays = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    monkeypatch.setenv("REPRO_STORE_LAYOUT", "sets")
-    sets = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    assert arrays.terminated == sets.terminated
-    assert arrays.outcome == sets.outcome
-    if not arrays.terminated:
-        return
-    assert arrays.size == sets.size
-    assert arrays.max_depth == sets.max_depth
-    assert arrays.statistics.triggers_applied == sets.statistics.triggers_applied
-    assert arrays.statistics.triggers_considered == sets.statistics.triggers_considered
-    if runner is restricted_chase:
-        assert fire_invariant_instance_key(arrays.instance) == (
-            fire_invariant_instance_key(sets.instance)
-        )
+    assert summary_json(arrays) == PINNED["families"][f"{name}/{variant}/plain"]
+
+
+@pytest.mark.parametrize("truncate", [False, True], ids=["plain", "truncate"])
+@pytest.mark.parametrize("record", [False, True], ids=["summary", "recording"])
+@pytest.mark.parametrize("name,workload", FAMILIES, ids=[n for n, _ in FAMILIES])
+@pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
+def test_driver_modes_match_pinned_summaries(name, workload, runner, record, truncate):
+    """Derivation recording and depth truncation, each on or off, leave
+    the summary byte-identical to the pinned one — restricted chase and
+    budget-stopped runs included (the store driver is deterministic)."""
+    database, tgds = workload
+    variant = VARIANT_IDS[VARIANTS.index(runner)]
+    budget = TRUNCATE if truncate else BUDGET
+    result = runner(database, tgds, budget=budget, record_derivation=record, engine="store")
+    key = f"{name}/{variant}/{'truncate' if truncate else 'plain'}"
+    assert summary_json(result) == PINNED["families"][key]
+    if record:
+        assert_derivation_faithful(result, database)
     else:
-        assert arrays.instance == sets.instance
+        assert result.derivation == ()
 
 
 @pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
 def test_columnar_driver_matches_recording_driver(runner):
-    """The lean columnar loop and the general (derivation-recording)
-    loop must agree on everything a summary reports."""
+    """Summary mode (add-first evaluation) and recording mode (evaluate
+    first, decode what was new) of the one store driver agree on
+    everything a summary reports."""
     database, tgds = restricted_heavy(12, 4)
     lean = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
     general = runner(database, tgds, budget=BUDGET, record_derivation=True, engine="store")
@@ -429,18 +470,24 @@ def test_columnar_driver_matches_recording_driver(runner):
     [random_simple_linear_program, random_linear_program, random_guarded_program],
     ids=["sl", "linear", "guarded"],
 )
-def test_layouts_agree_on_random_programs(seed, make_program, monkeypatch):
+def test_layouts_agree_on_random_programs(seed, make_program):
+    """Random programs: the summaries both store layouts produced at the
+    last commit carrying the sets layout are pinned; the columnar store
+    must still produce them, in summary and in recording mode."""
     tgds = make_program(seed, rule_count=4)
     database = random_database(tgds, seed=seed + 250, fact_count=10, constant_count=3)
-    for runner in (semi_oblivious_chase, oblivious_chase):
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "arrays")
-        arrays = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "sets")
-        sets = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-        assert arrays.terminated == sets.terminated
-        if arrays.terminated:
-            assert arrays.instance == sets.instance
-            assert arrays.summary() == sets.summary()
+    program = {
+        random_simple_linear_program: "sl",
+        random_linear_program: "linear",
+        random_guarded_program: "guarded",
+    }[make_program]
+    for variant, runner in (("semi", semi_oblivious_chase), ("oblivious", oblivious_chase)):
+        pinned = PINNED["random"][f"{program}-{seed}/{variant}"]
+        for record in (False, True):
+            result = runner(
+                database, tgds, budget=BUDGET, record_derivation=record, engine="store"
+            )
+            assert summary_json(result) == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +602,6 @@ def test_resume_requires_store_engine():
     base = semi_oblivious_chase(database, tgds, record_derivation=False, engine="store")
     snapshot = base.store_snapshot()
     with pytest.raises(ValueError, match="resume_from requires the store engine"):
-        semi_oblivious_chase(database, tgds, engine="plans", resume_from=snapshot)
-    with pytest.raises(ValueError, match="resume_from requires the store engine"):
         semi_oblivious_chase(database, tgds, engine="legacy", resume_from=snapshot)
 
 
@@ -602,3 +647,113 @@ def test_database_may_be_a_fact_store():
     assert seeded.database_size == len(database)
     assert seeded.instance == plain.instance
     assert seeded.summary() == plain.summary()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint resume and the guarded forest on the one store driver
+# ---------------------------------------------------------------------------
+
+
+def _checkpoints_of(runner, database, tgds):
+    """(uninterrupted summary, one EngineCheckpoint per round boundary)."""
+    from repro.chase.engine import EngineCheckpoint
+
+    checkpoints = []
+
+    def hook(rounds, store, marks, counters):
+        considered, applied, created = counters
+        checkpoints.append(
+            EngineCheckpoint(
+                store_blob=store.snapshot(),
+                marks=tuple(marks),
+                rounds=rounds,
+                considered=considered,
+                applied=applied,
+                created=created,
+                database_size=len(database),
+            )
+        )
+
+    result = runner(
+        database, tgds, budget=BUDGET, record_derivation=False, round_hook=hook
+    )
+    return summary_json(result), checkpoints
+
+
+@pytest.mark.parametrize("name,workload", FAMILIES[:6], ids=[n for n, _ in FAMILIES[:6]])
+@pytest.mark.parametrize(
+    "runner", [semi_oblivious_chase, oblivious_chase], ids=["semi", "oblivious"]
+)
+def test_checkpoint_resume_at_every_round_matches_uninterrupted(name, workload, runner):
+    """Resuming from the checkpoint of *any* round boundary — the final
+    one included, whose round appended nothing — ends in the
+    uninterrupted run's summary, round count included."""
+    database, tgds = workload
+    expected, checkpoints = _checkpoints_of(runner, database, tgds)
+    assert checkpoints
+    for checkpoint in checkpoints:
+        resumed = runner(
+            database, tgds, budget=BUDGET, record_derivation=False,
+            checkpoint=checkpoint,
+        )
+        assert summary_json(resumed) == expected, checkpoint.rounds
+
+
+@pytest.mark.parametrize(
+    "budget,record",
+    [(BUDGET, True), (TRUNCATE, False)],
+    ids=["record-derivation", "truncate-at-depth"],
+)
+def test_checkpoint_refuses_runs_it_cannot_complete(budget, record):
+    """The rounds before a checkpoint leave no derivation steps and no
+    truncation flag behind, so such runs refuse to resume instead of
+    returning a silently partial result (or stopping on an empty
+    delta)."""
+    database, tgds = prop45_family(6)
+    _, checkpoints = _checkpoints_of(semi_oblivious_chase, database, tgds)
+    with pytest.raises(ValueError, match="summary-only run"):
+        semi_oblivious_chase(
+            database, tgds, budget=budget, record_derivation=record,
+            checkpoint=checkpoints[0],
+        )
+
+
+@pytest.mark.parametrize(
+    "name,workload",
+    [
+        ("prop45", prop45_family(6)),
+        ("sl", sl_lower_bound(2, 2, 2)),
+        ("linear", linear_lower_bound(1, 2, 1)),
+        ("guarded", guarded_lower_bound(1, 1, 1)),
+    ],
+    ids=["prop45", "sl", "linear", "guarded"],
+)
+def test_guarded_forest_matches_legacy_derivation(name, workload):
+    """``build_guarded_forest`` over the store driver's recorded
+    derivation is the forest of the legacy engine's derivation.
+
+    Where every derived atom has a single producing trigger the forests
+    are equal edge for edge.  On the guarded family two triggers with
+    different guard images can derive the same atom in one round, and
+    which of them fires first follows the legacy engine's hash-order
+    enumeration — so there the order-independent parts must agree:
+    roots, nodes, per-depth node counts and which atoms have a parent.
+    """
+    from repro.chase.forest import build_guarded_forest
+
+    database, tgds = workload
+    forests = []
+    for engine in ("store", "legacy"):
+        result = semi_oblivious_chase(database, tgds, budget=BUDGET, engine=engine)
+        assert result.terminated
+        forests.append(build_guarded_forest(result, database))
+    store_forest, legacy_forest = forests
+    assert store_forest.roots == legacy_forest.roots
+    assert store_forest.all_atoms() == legacy_forest.all_atoms()
+    assert store_forest.depth_histogram() == legacy_forest.depth_histogram()
+    assert set(store_forest.parent) == set(legacy_forest.parent)
+    if name != "guarded":
+        assert store_forest.parent == legacy_forest.parent
+        assert {node: set(kids) for node, kids in store_forest.children.items()} == {
+            node: set(kids) for node, kids in legacy_forest.children.items()
+        }

@@ -281,7 +281,7 @@ class TestChaseResume:
         facts = files("db.facts", FACTS)
         snap = tmp_path / "x.snap"
         assert (
-            main(["chase", rules, facts, "--engine", "plans",
+            main(["chase", rules, facts, "--engine", "legacy",
                   "--save-snapshot", str(snap)])
             == 2
         )

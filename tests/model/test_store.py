@@ -1,49 +1,42 @@
 """Unit tests for the interned fact store (the engine's data plane).
 
-Both storage layouts — the columnar ``arrays`` default and the ``sets``
-fallback — run through the same suite: the layouts must be observably
-identical through the public API (only performance differs).
+The store has one storage layout, the columnar ``arrays`` layout; the
+``store`` fixture keeps its parameter id so the test ids name it.
 """
 
-import os
 from array import array
 
 import pytest
 
 from repro.model.atoms import Atom, Predicate, atom
 from repro.model.instance import Instance
-from repro.model.store import (
-    LAYOUTS,
-    FactStore,
-    default_layout,
-    inspect_snapshot,
-)
+from repro.model.store import FactStore, inspect_snapshot
 from repro.model.terms import Constant, Null, Variable, make_null
 
 
-@pytest.fixture(params=LAYOUTS)
+@pytest.fixture(params=["arrays"])
 def store(request) -> FactStore:
-    return FactStore(layout=request.param)
+    return FactStore()
 
 
 class TestLayoutSelection:
     def test_default_layout_is_arrays(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_LAYOUT", raising=False)
-        assert default_layout() == "arrays"
-        assert FactStore().layout == "arrays"
-
-    def test_env_knob_selects_layout(self, monkeypatch):
+        # The former layout environment knob selects nothing any more:
+        # every store is columnar (row marks are its delta watermark).
         monkeypatch.setenv("REPRO_STORE_LAYOUT", "sets")
-        assert FactStore().layout == "sets"
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "arrays")
-        assert FactStore().layout == "arrays"
+        store = FactStore()
+        assert not hasattr(store, "layout")
+        pid, ids = store.intern_atom(atom("R", Constant("a"), Constant("b")))
+        store.add(pid, ids)
+        assert store.row_marks() == [1]
+        assert store.rows_since(pid, 0) == [ids]
 
-    def test_unknown_layout_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            FactStore(layout="btree")
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "btree")
-        with pytest.raises(ValueError):
-            FactStore()
+    def test_unknown_layout_rejected(self):
+        # Layout selection is gone, so any layout argument is unknown.
+        with pytest.raises(TypeError):
+            FactStore(layout="btree")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            FactStore.restore(FactStore().snapshot(), layout="arrays")  # type: ignore[call-arg]
 
 
 class TestInterning:
@@ -157,9 +150,8 @@ class TestStorage:
         store.add(pid, ids)
         ta = store.intern_term(a)
         view = store.posting(pid, 0, ta)
-        # Both layouts hand out views that refuse mutation: a tuple of
-        # facts (arrays) or a frozenset copy under __debug__ (sets).
-        assert not hasattr(view, "add") or isinstance(view, frozenset)
+        # The view refuses mutation: an immutable tuple of facts.
+        assert isinstance(view, tuple)
         with pytest.raises((AttributeError, TypeError)):
             view.add(("x",))  # type: ignore[union-attr]
         # Mutating the returned view must never corrupt the index.
@@ -170,10 +162,6 @@ class TestStorage:
         pid, ids = store.intern_atom(atom("R", a, b))
         store.add(pid, ids)
         ta = store.intern_term(a)
-        if store.layout != "arrays":
-            with pytest.raises(TypeError):
-                store.posting_rows(pid, 0, ta)
-            return
         rows = store.posting_rows(pid, 0, ta)
         assert isinstance(rows, memoryview)
         assert rows.readonly
@@ -223,32 +211,32 @@ class TestStorage:
         assert store.has_candidate(pid, [(0, tc), (1, tc)])
 
     def test_galloping_intersection_matches_set_semantics(self):
-        # Many facts sharing positions: the multi-bound probe must
-        # agree between the galloping arrays path and the sets path.
-        stores = {layout: FactStore(layout=layout) for layout in LAYOUTS}
+        # Many facts sharing positions: the multi-bound probe (smallest
+        # column, filtered by position compares) must return exactly the
+        # facts a brute-force filter over all stored facts selects.
+        store = FactStore()
         terms = [Constant(f"c{i}") for i in range(10)]
         facts = [
             atom("T", terms[i % 7], terms[i % 5], terms[i % 3]) for i in range(200)
         ]
-        for s in stores.values():
-            for f in facts:
-                s.add_atom(f)
+        for f in facts:
+            store.add_atom(f)
+        pid = store.pid(Predicate("T", 3))
         for bound_spec in [
             [(0, "c1"), (1, "c1")],
             [(0, "c2"), (2, "c2")],
             [(0, "c1"), (1, "c2"), (2, "c0")],
             [(1, "c4"), (2, "c1")],
         ]:
-            results = {}
-            for layout, s in stores.items():
-                pid = s.pid(Predicate("T", 3))
-                bound = [(i, s.intern_term(Constant(n))) for i, n in bound_spec]
-                decoded = {
-                    s.decode_fact(pid, ids) for ids in s.candidates(pid, bound)
-                }
-                results[layout] = decoded
-                assert s.has_candidate(pid, bound) == bool(decoded)
-            assert results["arrays"] == results["sets"]
+            bound = [(i, store.intern_term(Constant(n))) for i, n in bound_spec]
+            probed = list(store.candidates(pid, bound))
+            expected = [
+                ids
+                for ids in store.facts_of(pid)
+                if all(ids[i] == tid for i, tid in bound)
+            ]
+            assert probed == expected  # same facts, same (row) order
+            assert store.has_candidate(pid, bound) == bool(expected)
 
     def test_to_instance_round_trips(self, store):
         facts = [
@@ -277,8 +265,8 @@ class TestStorage:
 
 
 class TestSnapshot:
-    def _populated(self, layout: str) -> FactStore:
-        store = FactStore(layout=layout)
+    def _populated(self) -> FactStore:
+        store = FactStore()
         a, b = Constant("a"), Constant("b")
         store.add_atom(atom("R", a, b))
         store.add_atom(atom("R", b, a))
@@ -291,21 +279,20 @@ class TestSnapshot:
         store.add_atom(Atom(Predicate("Z", 0), ()))
         return store
 
-    @pytest.mark.parametrize("source_layout", LAYOUTS)
-    @pytest.mark.parametrize("target_layout", LAYOUTS)
-    def test_round_trip_across_layouts(self, source_layout, target_layout):
-        store = self._populated(source_layout)
+    def test_round_trip(self):
+        store = self._populated()
         blob = store.snapshot()
         assert isinstance(blob, bytes)
-        restored = FactStore.restore(blob, layout=target_layout)
-        assert restored.layout == target_layout
+        restored = FactStore.restore(blob)
         assert len(restored) == len(store)
         assert restored.max_depth() == store.max_depth()
         assert restored.to_instance() == store.to_instance()
+        # Rows restore in insertion order, so re-encoding is byte-stable.
+        assert restored.snapshot() == blob
 
     def test_restore_preserves_posting_lists(self, store):
-        store = self._populated(store.layout)
-        restored = FactStore.restore(store.snapshot(), layout=store.layout)
+        store = self._populated()
+        restored = FactStore.restore(store.snapshot())
         for pid in range(3):
             predicate = store.predicate_of(pid)
             assert restored.predicate_of(pid) == predicate
@@ -317,7 +304,7 @@ class TestSnapshot:
                     )
 
     def test_restore_preserves_null_recipes(self, store):
-        store = self._populated(store.layout)
+        store = self._populated()
         restored = FactStore.restore(store.snapshot())
         for tid in range(len(store._term_of_id)):
             assert restored.term_of_id(tid) == store.term_of_id(tid)
@@ -326,7 +313,7 @@ class TestSnapshot:
     def test_restored_store_keeps_chasing(self, store):
         # Interning and adding after a restore picks up exactly where
         # the source store left off (fresh ids extend the dense range).
-        store = self._populated(store.layout)
+        store = self._populated()
         restored = FactStore.restore(store.snapshot())
         pid, ids = restored.intern_atom(atom("R", Constant("c"), Constant("a")))
         assert restored.add(pid, ids)
@@ -338,7 +325,7 @@ class TestSnapshot:
         assert restored.intern_null("r1", "z", ("x",), (ta,)) == first
 
     def test_inspect_reads_header_only(self, store):
-        store = self._populated(store.layout)
+        store = self._populated()
         header = inspect_snapshot(store.snapshot())
         assert header["size"] == len(store)
         assert header["max_depth"] == store.max_depth()
@@ -359,7 +346,7 @@ class TestSnapshot:
         foreign = make_null("rx", "z", {"x": Constant("a")})
         outer = make_null("ry", "w", {"y": foreign})
         store.add_atom(Atom(Predicate("S", 1), (outer,)))
-        restored = FactStore.restore(store.snapshot(), layout=store.layout)
+        restored = FactStore.restore(store.snapshot())
         assert restored.to_instance() == store.to_instance()
 
 

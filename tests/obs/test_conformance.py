@@ -7,6 +7,9 @@ depth exceeds the wrong class's bound must raise the structured
 violation counter — that is the signal the monitor exists for.
 """
 
+import json
+import time
+
 import pytest
 
 from repro.chase import VARIANT_RUNNERS
@@ -14,6 +17,7 @@ from repro.chase.engine import ChaseBudget
 from repro.core.classify import TGDClass, classify
 from repro.generators.families import (
     example_7_1,
+    guarded_lower_bound,
     linear_lower_bound,
     sl_lower_bound,
 )
@@ -137,3 +141,66 @@ class TestMisclassification:
         registry = MetricsRegistry()
         record_conformance(registry, None)
         assert "repro_bound" not in registry.render()
+
+
+class TestBoundMagnitudes:
+    #: Reports of terminated semi-oblivious runs, recorded while the
+    #: size-bound magnitude was still rendered from the materialised
+    #: f_C: the log-based rendering must reproduce them byte for byte.
+    PINNED_REPORTS = {
+        "example_7_1": (
+            example_7_1,
+            '{"class": "L", "depth_bound": 8, "depth_utilization": 0.0, '
+            '"size_bound": null, "size_bound_magnitude": "42501298345826806923264", '
+            '"size_utilization": 0.0, "terminated": true, "violations": []}',
+        ),
+        "sl_lower_222": (
+            lambda: sl_lower_bound(2, 2, 2),
+            '{"class": "SL", "depth_bound": 6, "depth_utilization": 0.333333, '
+            '"size_bound": null, "size_bound_magnitude": "~10^60", '
+            '"size_utilization": 0.0, "terminated": true, "violations": []}',
+        ),
+        "sl_lower_332": (
+            lambda: sl_lower_bound(3, 3, 2),
+            '{"class": "SL", "depth_bound": 12, "depth_utilization": 0.25, '
+            '"size_bound": null, "size_bound_magnitude": "~10^214", '
+            '"size_utilization": 0.0, "terminated": true, "violations": []}',
+        ),
+        "linear_lower_121": (
+            lambda: linear_lower_bound(1, 2, 1),
+            '{"class": "L", "depth_bound": 31250, "depth_utilization": 0.000128, '
+            '"size_bound": null, "size_bound_magnitude": "~10^637960", '
+            '"size_utilization": 0.0, "terminated": true, "violations": []}',
+        ),
+        "linear_lower_222": (
+            lambda: linear_lower_bound(2, 2, 2),
+            '{"class": "L", "depth_bound": 46875, "depth_utilization": 0.000171, '
+            '"size_bound": null, "size_bound_magnitude": "~10^1180583", '
+            '"size_utilization": 0.0, "terminated": true, "violations": []}',
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_sl_and_l_reports_are_unchanged(self, name):
+        factory, expected = self.PINNED_REPORTS[name]
+        database, tgds = factory()
+        result = VARIANT_RUNNERS["semi-oblivious"](
+            database, tgds, budget=BUDGET, record_derivation=False
+        )
+        report = conformance_report(result.summary(), tgds)
+        assert json.dumps(report, sort_keys=True) == expected
+
+    def test_guarded_report_returns_promptly(self):
+        # ‖Σ‖^(2·ar·(d_G+1)) has an exponent of ~225k digits here; the
+        # report must render it without building the integer.
+        database, tgds = guarded_lower_bound(1, 1, 1)
+        result = VARIANT_RUNNERS["semi-oblivious"](
+            database, tgds, budget=BUDGET, record_derivation=False
+        )
+        start = time.perf_counter()
+        report = conformance_report(result.summary(), tgds)
+        assert time.perf_counter() - start < 1.0
+        assert report["class"] == "G"
+        assert report["size_bound"] is None
+        assert report["size_bound_magnitude"].startswith("~10^(~10^")
+        assert report["violations"] == []

@@ -156,7 +156,7 @@ class TestSnapshotPayloads:
         ]
 
     def test_non_store_engine_falls_back_to_text(self):
-        executor = BatchExecutor(workers=1, engine="plans")
+        executor = BatchExecutor(workers=1, engine="legacy")
         payload = executor._payload(*_resolved(executor, small_batch()[0]))
         assert "database_text" in payload and "database_snapshot" not in payload
 

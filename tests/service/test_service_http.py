@@ -504,3 +504,78 @@ class TestAdmissionAnalysis:
             assert budget["source"] == "analysis-clamp"
             assert budget["max_atoms"]["value"] == 50_000
             assert row["outcome"] != "terminated"
+
+
+class TestSingleWriteResponses:
+    """Headers and body leave in one write (no Nagle/delayed-ACK stall
+    on kept-alive connections).  Driven on a bare handler object, so
+    the write count is exact and independent of socket timing."""
+
+    class _RecordingWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+            return len(data)
+
+        def flush(self):
+            pass
+
+    def _handler(self, path="/healthz", service=None):
+        from repro.service.server import _ChaseRequestHandler
+
+        handler = object.__new__(_ChaseRequestHandler)
+        handler.wfile = self._RecordingWriter()
+        handler.client_address = ("127.0.0.1", 0)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = f"GET {path} HTTP/1.1"
+        handler.command = "GET"
+        handler.path = path
+        handler.close_connection = False
+        handler.service = service
+        return handler
+
+    def test_json_response_is_one_write(self):
+        handler = self._handler()
+        handler._send_json(429, {"status": "busy"}, retry_after=2)
+        assert len(handler.wfile.writes) == 1
+        head, body = handler.wfile.writes[0].split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 429")
+        assert b"Retry-After: 2" in head
+        assert b"Content-Length: %d" % len(body) in head
+        assert json.loads(body) == {"status": "busy"}
+
+    def test_metrics_response_is_one_write(self):
+        from types import SimpleNamespace
+
+        service = SimpleNamespace(
+            metrics=SimpleNamespace(enabled=True),
+            metrics_text=lambda: "repro_up 1\n",
+        )
+        handler = self._handler("/metrics", service)
+        handler._get_metrics()
+        assert len(handler.wfile.writes) == 1
+        head, body = handler.wfile.writes[0].split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200")
+        assert body == b"repro_up 1\n"
+
+    def test_chaos_drop_still_sends_nothing(self, monkeypatch):
+        from repro.runtime.faults import (
+            ENV_VAR,
+            FaultPlan,
+            FaultSpec,
+            reset_injector,
+        )
+
+        handler = self._handler()
+        plan = FaultPlan(faults=(FaultSpec(point="http.response", action="drop"),))
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        reset_injector()
+        try:
+            handler._send_json(200, {"status": "ok"})
+        finally:
+            monkeypatch.delenv(ENV_VAR)
+            reset_injector()
+        assert handler.wfile.writes == []
+        assert handler.close_connection
