@@ -416,22 +416,15 @@ def engine_benchmark_rows(
     budget = budget or ChaseBudget(max_atoms=500_000)
     rows: List[SweepRow] = []
 
-    def timed(
-        runner, database, tgds, engine, materialize=False, probe=False, profile=False,
-    ):
-        from repro.obs.probe import ChaseProbe
-        from repro.obs.profile import RuleProfiler
-
+    def timed(runner, database, tgds, engine, materialize=False):
         best = float("inf")
         result = None
         for _ in range(max(1, repeats)):
-            round_probe = ChaseProbe() if probe else None
-            run_profiler = RuleProfiler() if profile else None
             with _gc_paused():
                 start = time.perf_counter()
                 result = runner(
                     database, tgds, budget=budget, record_derivation=False,
-                    engine=engine, probe=round_probe, profile=run_profiler,
+                    engine=engine,
                 )
                 result.summary()
                 if materialize:
@@ -1176,7 +1169,9 @@ def write_runtime_report(
         "rows": [r.as_flat_dict() for r in rows],
         "summary": summary,
     }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(report, indent=2) + "\n")
     _maybe_append_history(report, history_path)
     return report
 
@@ -1456,7 +1451,9 @@ def write_service_report(
         "rows": [r.as_flat_dict() for r in rows],
         "summary": summary,
     }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(report, indent=2) + "\n")
     _maybe_append_history(report, history_path)
     return report
 

@@ -23,6 +23,7 @@ from repro.model.instance import Database, Instance
 from repro.model.store import Fact, FactStore
 from repro.model.terms import Null
 from repro.model.tgd import TGD, TGDSet
+from repro.obs.observer import ChaseObserver
 from repro.obs.probe import ChaseProbe
 from repro.obs.profile import RuleProfiler
 from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
@@ -281,27 +282,21 @@ class BaseChaseEngine:
                  engine: Optional[str] = None,
                  probe: Optional[ChaseProbe] = None,
                  profile: Optional[RuleProfiler] = None,
-                 round_hook=None) -> None:
+                 observers: Sequence[ChaseObserver] = ()) -> None:
         self.tgds = tgds
         self.budget = budget or ChaseBudget()
         self.record_derivation = record_derivation
-        #: Optional per-round callback ``hook(rounds, store, marks,
-        #: (considered, applied, created))`` fired at every completed
-        #: round boundary — the executor's checkpointer and the fault
-        #: injector's ``worker.round`` point.  ``store``/``marks`` are
-        #: ``None`` on the legacy engine.  ``None`` (the default) keeps
-        #: every loop on its hook-free path: one ``is None`` check per
-        #: round.
-        self.round_hook = round_hook
-        #: Optional round-level telemetry probe.  ``None`` (the
-        #: default) keeps every driver loop on its probe-free path: one
-        #: ``is None`` check per *round*, nothing per trigger.
+        #: Payloads of the result's ``telemetry`` / ``profile``.
         self.probe = probe
-        #: Optional per-rule attribution profiler.  ``None`` (the
-        #: default) keeps the drivers on their profile-free paths —
-        #: pending lists are rule-major, so the profiled paths only
-        #: read the clock at rule-segment boundaries.
         self.profile = profile
+        #: Everything watching the run (:mod:`repro.obs.observer`):
+        #: the probe, the profiler, then ``observers`` in the order
+        #: given — the executor's checkpointer before its
+        #: ``worker.round`` fault point.  Empty (the default) keeps
+        #: both drivers on their unobserved paths.
+        self.observers: Tuple[ChaseObserver, ...] = tuple(
+            o for o in (probe, profile) if o is not None
+        ) + tuple(observers)
         if engine is None:
             engine = "store" if compiled else "legacy"
         if engine not in ENGINES:
@@ -388,23 +383,29 @@ class BaseChaseEngine:
         if checkpoint is not None and resume_from is not None:
             raise ValueError("checkpoint and resume_from are mutually exclusive")
         if self.engine == "store":
-            return self._run_store_columnar(
+            result = self._run_store_columnar(
                 database,
                 resume_from=resume_from,
                 database_size=database_size,
                 checkpoint=checkpoint,
             )
-        if checkpoint is not None:
+        elif checkpoint is not None:
             raise ValueError(
                 "checkpoint resume requires the store engine "
                 f"(this run uses engine={self.engine!r})"
             )
-        if resume_from is not None:
+        elif resume_from is not None:
             raise ValueError(
                 "resume_from requires the store engine "
                 f"(this run uses engine={self.engine!r})"
             )
-        return self._run_legacy(database)
+        else:
+            result = self._run_legacy(database)
+        if self.probe is not None:
+            result.telemetry = self.probe.as_dict()
+        if self.profile is not None:
+            result.profile = self.profile.as_dict()
+        return result
 
     def _run_legacy(self, database) -> ChaseResult:
         """The executable specification: a per-round rescan.
@@ -425,87 +426,65 @@ class BaseChaseEngine:
         outcome = ChaseOutcome.TERMINATED
         depth_truncated = False
         budget = self.budget
-        profiler = self.profile
-        if profiler is None:
-            driver_start = start
-        else:
-            # The attribution denominator starts here: instance setup
-            # above is reported separately as setup_seconds.
-            driver_start = time.perf_counter()
-            prof_slots = profiler.attach(t.rule_id for t in self.tgds)
-            slot_of_rule_id = {
-                t.rule_id: prof_slots[i] for i, t in enumerate(self.tgds)
-            }
-            p_seconds = profiler.seconds
-            p_considered = profiler.considered
-            p_fired = profiler.fired
-            p_pruned = profiler.pruned
-            p_facts = profiler.facts
-            p_nulls = profiler.nulls
-            prof_seen_nulls: Set = set()
-            slot = -1
-
         delta: List[Atom] = list(instance)
+        new_atoms_this_round: List[Atom] = []
         first_round = True
-        probe = self.probe
-        seen_nulls: Set = set()
-        round_delta = 0
-        considered_before = applied_before = created_before = 0
+        observers = self.observers
+        enumerate_seconds: Optional[List[float]] = None
+        if observers:
+            rule_ids = [t.rule_id for t in self.tgds]
+            rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
+            enumerate_seconds = [0.0] * len(rule_ids)
+            # One shared fresh-null counter: the distinct nulls of the
+            # added atoms, each atom scanned once, at callbacks only.
+            seen_nulls: Set[Null] = set()
+            scanned_atoms, scanned = new_atoms_this_round, 0
+
+            def totals() -> Tuple[int, int, int, int]:
+                nonlocal scanned_atoms, scanned
+                if scanned_atoms is not new_atoms_this_round:
+                    scanned_atoms, scanned = new_atoms_this_round, 0
+                for atom in scanned_atoms[scanned:]:
+                    seen_nulls.update(t for t in atom.args if isinstance(t, Null))
+                scanned = len(scanned_atoms)
+                return (
+                    statistics.triggers_considered,
+                    statistics.triggers_applied,
+                    statistics.atoms_created,
+                    len(seen_nulls),
+                )
+
+            for observer in observers:
+                observer.run_start("legacy", rule_ids, None, start)
         while True:
             if statistics.rounds >= budget.max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
-            if probe is not None:
-                probe.begin_round()
-                round_delta = len(delta)
-                considered_before = statistics.triggers_considered
-                applied_before = statistics.triggers_applied
-                created_before = statistics.atoms_created
+            if observers:
+                counts = totals()
+                for observer in observers:
+                    observer.round_start(len(delta), *counts)
             # Materialise the round's triggers up front: the instance is
             # mutated while they are applied, so lazy enumeration would
             # race against the indexes it reads.
-            if profiler is None:
-                pending = list(self._collect_triggers(instance, delta, first_round))
-            else:
-                # _collect_triggers walks the TGDs in order, so its
-                # output is rule-major: enumeration time is attributed
-                # per contiguous rule segment, reading the clock only
-                # where the rule changes.
-                pending = []
-                append = pending.append
-                seg_slot = -1
-                seg_start = 0.0
-                for trigger in self._collect_triggers(instance, delta, first_round):
-                    s = slot_of_rule_id[trigger.tgd.rule_id]
-                    if s != seg_slot:
-                        now = time.perf_counter()
-                        if seg_slot >= 0:
-                            p_seconds[seg_slot] += now - seg_start
-                        seg_slot = s
-                        seg_start = now
-                    append(trigger)
-                if seg_slot >= 0:
-                    p_seconds[seg_slot] += time.perf_counter() - seg_start
+            pending = list(
+                self._collect_triggers(instance, delta, first_round, enumerate_seconds)
+            )
             first_round = False
-            new_atoms_this_round: List[Atom] = []
+            new_atoms_this_round = []
             over_budget = False
-            apply_slot = -1
-            apply_start = 0.0
+            seg_rule = None
             for trigger in pending:
+                if observers and trigger.tgd is not seg_rule:
+                    # Pending is rule-major: one callback per rule
+                    # segment, nothing per trigger.
+                    seg_rule = trigger.tgd
+                    counts = totals()
+                    for observer in observers:
+                        observer.segment(rule_index[seg_rule.rule_id], *counts)
                 statistics.triggers_considered += 1
-                if profiler is not None:
-                    slot = slot_of_rule_id[trigger.tgd.rule_id]
-                    if slot != apply_slot:
-                        now = time.perf_counter()
-                        if apply_slot >= 0:
-                            p_seconds[apply_slot] += now - apply_start
-                        apply_slot = slot
-                        apply_start = now
-                    p_considered[slot] += 1
                 key = self.trigger_key(trigger)
                 if key in applied:
-                    if profiler is not None:
-                        p_pruned[slot] += 1
                     continue
                 result_atoms = (
                     self.trigger_result(trigger)
@@ -514,8 +493,6 @@ class BaseChaseEngine:
                 )
                 if result_atoms is None:
                     applied.add(key)
-                    if profiler is not None:
-                        p_pruned[slot] += 1
                     continue
                 if budget.truncate_at_depth and budget.max_depth is not None:
                     kept = [a for a in result_atoms if a.depth() <= budget.max_depth]
@@ -533,21 +510,6 @@ class BaseChaseEngine:
                 added = instance.add_all(result_atoms)
                 statistics.triggers_applied += 1
                 statistics.atoms_created += len(added)
-                if profiler is not None:
-                    p_fired[slot] += 1
-                    if added:
-                        p_facts[slot] += len(added)
-                        fresh_nulls = 0
-                        for atom in added:
-                            for term in atom.args:
-                                if (
-                                    isinstance(term, Null)
-                                    and term not in prof_seen_nulls
-                                ):
-                                    prof_seen_nulls.add(term)
-                                    fresh_nulls += 1
-                        if fresh_nulls:
-                            p_nulls[slot] += fresh_nulls
                 if added:
                     new_atoms_this_round.extend(added)
                     if self.record_derivation:
@@ -575,36 +537,15 @@ class BaseChaseEngine:
                     outcome = ChaseOutcome.TIME_BUDGET_EXCEEDED
                     over_budget = True
                     break
-            if profiler is not None and apply_slot >= 0:
-                p_seconds[apply_slot] += time.perf_counter() - apply_start
             statistics.rounds += 1
-            if probe is not None:
-                nulls = 0
-                for atom in new_atoms_this_round:
-                    for term in atom.args:
-                        if isinstance(term, Null) and term not in seen_nulls:
-                            seen_nulls.add(term)
-                            nulls += 1
-                probe.end_round(
-                    round_delta,
-                    statistics.triggers_considered - considered_before,
-                    statistics.triggers_applied - applied_before,
-                    statistics.atoms_created - created_before,
-                    nulls_invented=nulls,
-                )
+            if observers:
+                counts = totals()
+                for observer in observers:
+                    observer.round_end(
+                        statistics.rounds, *counts, None, None, not over_budget
+                    )
             if over_budget:
                 break
-            if self.round_hook is not None:
-                self.round_hook(
-                    statistics.rounds,
-                    None,
-                    None,
-                    (
-                        statistics.triggers_considered,
-                        statistics.triggers_applied,
-                        statistics.atoms_created,
-                    ),
-                )
             if not new_atoms_this_round:
                 # No new atoms (whether or not triggers fired): fixpoint.
                 outcome = ChaseOutcome.TERMINATED
@@ -612,12 +553,10 @@ class BaseChaseEngine:
             delta = new_atoms_this_round
 
         statistics.wall_seconds = time.perf_counter() - start
-        if profiler is not None:
-            profiler.finish_run(
-                time.perf_counter() - driver_start,
-                setup_seconds=driver_start - start,
-                engine=self.engine,
-            )
+        if observers:
+            counts = totals()
+            for observer in observers:
+                observer.run_end(*counts, None, enumerate_seconds, None)
         return ChaseResult(
             _materialized=instance,
             terminated=outcome is ChaseOutcome.TERMINATED,
@@ -627,8 +566,6 @@ class BaseChaseEngine:
             database_size=len(database),
             derivation=tuple(derivation),
             depth_truncated=depth_truncated,
-            telemetry=probe.as_dict() if probe is not None else None,
-            profile=profiler.as_dict() if profiler is not None else None,
         )
 
     def _run_store_columnar(
@@ -679,8 +616,8 @@ class BaseChaseEngine:
         resumed = resume_from is not None
         # ``marks`` set means the first round is a delta round over the
         # rows past them; otherwise it enumerates the whole store.
+        # ``appended`` is the size of the next round's fact frontier.
         marks: Optional[List[int]] = None
-        round_delta = 0
         if checkpoint is not None:
             if record or truncating:
                 # The rounds before the checkpoint left no derivation
@@ -700,6 +637,7 @@ class BaseChaseEngine:
             store = FactStore.restore(checkpoint.store_blob)
             marks = list(checkpoint.marks)
             database_size = checkpoint.database_size
+            appended = len(store) - sum(marks)
         elif resume_from is not None:
             store = (
                 resume_from
@@ -714,46 +652,36 @@ class BaseChaseEngine:
             size_before = len(store)
             for pid, ids in facts:
                 store.add(pid, ids)
-            round_delta = len(store) - size_before
+            appended = len(store) - size_before
             if database_size is None:
                 database_size = len(database)
         elif isinstance(database, FactStore):
             store = database
             database_size = len(store)
-            round_delta = len(store)
+            appended = len(store)
         else:
             store = FactStore()
             for a in database:
                 store.add_atom(a)
             database_size = len(database)
-            round_delta = len(store)
+            appended = len(store)
         statistics = ChaseStatistics()
         applied: Set = set()
         derivation: List[DerivationStep] = []
         outcome = ChaseOutcome.TERMINATED
         depth_truncated = False
-        profiler = self.profile
-        if profiler is None:
-            driver_start = start
-            enum_seconds = None
-            pipeline = StoreTriggerPipeline(self.tgds, store)
-        else:
-            # The attribution denominator starts here: store seeding
-            # and interning above are reported as setup_seconds.
-            driver_start = time.perf_counter()
-            compile_seconds = [0.0] * len(self.tgds)
-            pipeline = StoreTriggerPipeline(
-                self.tgds, store, compile_seconds=compile_seconds
-            )
-            prof_slots = profiler.attach(r.rule_id for r in pipeline.rules)
-            profiler.add_compile_seconds(prof_slots, compile_seconds)
-            enum_seconds = [0.0] * len(pipeline.rules)
-            p_seconds = profiler.seconds
-            p_considered = profiler.considered
-            p_fired = profiler.fired
-            p_pruned = profiler.pruned
-            p_facts = profiler.facts
-            p_nulls = profiler.nulls
+        observers = self.observers
+        enumerate_seconds: Optional[List[float]] = None
+        compile_seconds: Optional[List[float]] = None
+        if observers:
+            rule_ids = [t.rule_id for t in self.tgds]
+            enumerate_seconds = [0.0] * len(rule_ids)
+            compile_seconds = [0.0] * len(rule_ids)
+            for observer in observers:
+                observer.run_start("store", rule_ids, store, start)
+        pipeline = StoreTriggerPipeline(
+            self.tgds, store, compile_seconds=compile_seconds
+        )
         self._begin_store_run()
         base_rounds = (store.restored_rounds or 0) if resumed else 0
         uses_frontier = self.uses_frontier_identity
@@ -768,13 +696,17 @@ class BaseChaseEngine:
         full_labels = not uses_frontier
         add_fact = store.add
         fact_depth = store.fact_depth
+        null_count = store.null_count
         max_atoms = budget.max_atoms
         max_rounds = budget.max_rounds
         depth_limit = budget.max_depth
         max_seconds = budget.max_seconds
         perf_counter = time.perf_counter
         applied_add = applied.add
-        round_hook = self.round_hook
+        # Nulls interned only for facts that depth truncation dropped:
+        # they occur in no kept fact, so observed null totals
+        # (``null_count() - len(dropped_nulls)``) leave them out.
+        dropped_nulls: Set[int] = set()
         if checkpoint is not None:
             # Same-run restart: the counters continue from the
             # checkpoint so the final statistics equal an uninterrupted
@@ -792,11 +724,8 @@ class BaseChaseEngine:
             considered = 0
             fired = 0
             created = 0
-        probe = self.probe
-        considered_before = fired_before = created_before = 0
-        nulls_before = builds_before = 0
         if marks is None:
-            pending = pipeline.initial_pending(store, uses_frontier, enum_seconds)
+            pending = pipeline.initial_pending(store, uses_frontier, enumerate_seconds)
         else:
             # A delta round: resume the semi-naive loop over the rows
             # past the marks.  After a checkpoint the marks delimit the
@@ -808,94 +737,34 @@ class BaseChaseEngine:
             # delta (resume), and restore preserves interning.
             pending = None
         # A checkpoint round that appended nothing was the interrupted
-        # run's last (the hook fires before the fixpoint test): the run
-        # is finished, and running one more empty round would miscount.
+        # run's last (round_end fires before the fixpoint test): the
+        # run is finished, and running one more empty round would
+        # miscount.
         finished = checkpoint is not None and marks == store.row_marks()
-        # Attribution carries one open rule segment across round
-        # boundaries: a segment closes only where another opens (next
-        # rule, next enumeration, or end of run), so round bookkeeping
-        # — row marks, termination checks, the pending rebuild — lands
-        # on the adjacent rule instead of disappearing.  On many-round
-        # workloads (one trigger per round) that unattributed tail is
-        # what used to break the 90% attribution target.
-        #
-        # Counters are never bumped per trigger: the loop already
-        # maintains considered/fired/created locals, so every segment
-        # close derives its per-rule deltas from the anchors taken at
-        # segment open (pruned == considered − fired inside a segment).
-        # The entire per-trigger profiled cost is one identity
-        # comparison.
-        apply_slot = -1
-        apply_start = 0.0
-        seg_nulls = 0
-        seg_rule = None
-        seg_considered, seg_fired, seg_created = considered, fired, created
-        if profiler is not None:
-            apply_start = perf_counter()
-            seg_nulls = store.null_count()
         while not finished:
             if rounds >= max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
-            if probe is not None:
-                probe.begin_round()
-                considered_before = considered
-                fired_before = fired
-                created_before = created
-                nulls_before = store.null_count()
-                builds_before = store.index_builds
+            if observers:
+                nulls = null_count() - len(dropped_nulls)
+                for observer in observers:
+                    observer.round_start(appended, considered, fired, created, nulls)
             if pending is None:
-                if profiler is not None:
-                    if apply_slot >= 0:
-                        now = perf_counter()
-                        p_seconds[apply_slot] += now - apply_start
-                        p_nulls[apply_slot] += store.null_count() - seg_nulls
-                        seg = considered - seg_considered
-                        hits = fired - seg_fired
-                        p_considered[apply_slot] += seg
-                        p_fired[apply_slot] += hits
-                        p_pruned[apply_slot] += seg - hits
-                        p_facts[apply_slot] += created - seg_created
-                    pending = pipeline.delta_pending_rows(
-                        store, marks, uses_frontier, enum_seconds
-                    )
-                    apply_slot = -1
-                    seg_rule = None
-                    apply_start = perf_counter()
-                    seg_nulls = store.null_count()
-                else:
-                    pending = pipeline.delta_pending_rows(
-                        store, marks, uses_frontier, enum_seconds
-                    )
+                pending = pipeline.delta_pending_rows(
+                    store, marks, uses_frontier, enumerate_seconds
+                )
             marks = store.row_marks()
             size_before = len(store)
             over_budget = False
+            seg_rule = None
             for rule, ids, key in pending:
-                if profiler is not None and rule is not seg_rule:
-                    # Rule-segment boundary: one clock read + one O(1)
-                    # null_count + counter-delta flush, nothing per
-                    # trigger.  An opening segment (apply_slot -1)
-                    # keeps the enumeration-end anchor, so the
-                    # row-mark and loop-entry gap is charged to the
-                    # first rule.
-                    if apply_slot >= 0:
-                        now = perf_counter()
-                        null_mark = store.null_count()
-                        p_seconds[apply_slot] += now - apply_start
-                        p_nulls[apply_slot] += null_mark - seg_nulls
-                        seg = considered - seg_considered
-                        hits = fired - seg_fired
-                        p_considered[apply_slot] += seg
-                        p_fired[apply_slot] += hits
-                        p_pruned[apply_slot] += seg - hits
-                        p_facts[apply_slot] += created - seg_created
-                        apply_start = now
-                        seg_nulls = null_mark
-                    seg_considered = considered
-                    seg_fired = fired
-                    seg_created = created
+                if observers and rule is not seg_rule:
+                    # Pending is rule-major: one callback per rule
+                    # segment, and nothing else per trigger.
                     seg_rule = rule
-                    apply_slot = prof_slots[rule.index]
+                    nulls = null_count() - len(dropped_nulls)
+                    for observer in observers:
+                        observer.segment(rule.index, considered, fired, created, nulls)
                 considered += 1
                 if key in applied:
                     continue
@@ -964,6 +833,17 @@ class BaseChaseEngine:
                         ]
                         if len(kept) < len(result_facts):
                             depth_truncated = True
+                            if observers:
+                                # A fact is dropped only through terms
+                                # deeper than the limit: the trigger's
+                                # fresh nulls, which no kept fact holds.
+                                term_depth = store.term_depth
+                                dropped_nulls.update(
+                                    tid
+                                    for _, fact_ids in result_facts
+                                    for tid in fact_ids
+                                    if term_depth(tid) > depth_limit
+                                )
                             # Not memoised: the trigger stays pending.
                             if not kept:
                                 continue
@@ -1005,25 +885,21 @@ class BaseChaseEngine:
                     over_budget = True
                     break
             rounds += 1
-            if probe is not None:
-                probe.end_round(
-                    round_delta,
-                    considered - considered_before,
-                    fired - fired_before,
-                    created - created_before,
-                    nulls_invented=store.null_count() - nulls_before,
-                    index_builds=store.index_builds - builds_before,
-                )
-                # The next round's frontier is exactly the rows this
-                # round appended past its size watermark.
-                round_delta = len(store) - size_before
-            if over_budget:
-                break
-            if round_hook is not None:
+            # The next round's frontier is exactly the rows this round
+            # appended past its size watermark.
+            appended = len(store) - size_before
+            if observers:
                 # marks still delimits this round's appended rows — the
                 # exact frontier a checkpoint must freeze.
-                round_hook(rounds, store, marks, (considered, fired, created))
-            if len(store) == size_before:
+                nulls = null_count() - len(dropped_nulls)
+                for observer in observers:
+                    observer.round_end(
+                        rounds, considered, fired, created, nulls, store, marks,
+                        not over_budget,
+                    )
+            if over_budget:
+                break
+            if not appended:
                 outcome = ChaseOutcome.TERMINATED
                 break
             pending = None
@@ -1033,27 +909,13 @@ class BaseChaseEngine:
         statistics.triggers_applied = fired
         statistics.atoms_created = created
         statistics.wall_seconds = time.perf_counter() - start
-        if profiler is not None:
-            # The driver window closes *before* observe_store: the
-            # posting-memory sweep is O(store) profiler bookkeeping,
-            # not driver time to hold attribution accountable for.
-            driver_end = perf_counter()
-            if apply_slot >= 0:
-                p_seconds[apply_slot] += driver_end - apply_start
-                p_nulls[apply_slot] += store.null_count() - seg_nulls
-                seg = considered - seg_considered
-                hits = fired - seg_fired
-                p_considered[apply_slot] += seg
-                p_fired[apply_slot] += hits
-                p_pruned[apply_slot] += seg - hits
-                p_facts[apply_slot] += created - seg_created
-            profiler.add_rule_seconds(prof_slots, enum_seconds)
-            profiler.observe_store(store)
-            profiler.finish_run(
-                driver_end - driver_start,
-                setup_seconds=driver_start - start,
-                engine="store",
-            )
+        if observers:
+            nulls = null_count() - len(dropped_nulls)
+            for observer in observers:
+                observer.run_end(
+                    considered, fired, created, nulls, store, enumerate_seconds,
+                    compile_seconds,
+                )
         return ChaseResult(
             _store=store,
             _atom_count=len(store),
@@ -1064,8 +926,6 @@ class BaseChaseEngine:
             database_size=database_size,
             derivation=tuple(derivation),
             depth_truncated=depth_truncated,
-            telemetry=probe.as_dict() if probe is not None else None,
-            profile=profiler.as_dict() if profiler is not None else None,
             resumed=resumed,
             base_rounds=base_rounds,
         )
@@ -1073,7 +933,11 @@ class BaseChaseEngine:
     # -- trigger enumeration -----------------------------------------------------
 
     def _collect_triggers(
-        self, instance: Instance, delta: Sequence[Atom], first_round: bool
+        self,
+        instance: Instance,
+        delta: Sequence[Atom],
+        first_round: bool,
+        rule_seconds: Optional[List[float]] = None,
     ) -> Iterator[Trigger]:
         """Enumerate candidate triggers, semi-naively after the first round.
 
@@ -1084,17 +948,27 @@ class BaseChaseEngine:
         body image uses at least one atom from ``delta`` (the atoms
         derived in the previous round) can be new, so each body atom is
         forced onto each delta atom in turn.
+
+        Triggers come out rule-major.  ``rule_seconds`` (rule-indexed)
+        receives each rule's enumeration wall time, the consumer's time
+        between yields included; ``None`` skips all clock reads.
         """
         if first_round:
-            for tgd in self.tgds:
+            for rule_index, tgd in enumerate(self.tgds):
+                if rule_seconds is not None:
+                    rule_start = time.perf_counter()
                 for substitution in find_homomorphisms_reference(tgd.body, instance):
                     yield Trigger.from_substitution(tgd, substitution)
+                if rule_seconds is not None:
+                    rule_seconds[rule_index] += time.perf_counter() - rule_start
             return
         delta_by_predicate: Dict = {}
         for a in delta:
             delta_by_predicate.setdefault(a.predicate, []).append(a)
         seen: Set = set()
-        for tgd in self.tgds:
+        for rule_index, tgd in enumerate(self.tgds):
+            if rule_seconds is not None:
+                rule_start = time.perf_counter()
             for index, body_atom in enumerate(tgd.body):
                 for forced in delta_by_predicate.get(body_atom.predicate, ()):
                     for substitution in find_homomorphisms_with_forced_atom_reference(
@@ -1106,3 +980,5 @@ class BaseChaseEngine:
                             continue
                         seen.add(key)
                         yield trigger
+            if rule_seconds is not None:
+                rule_seconds[rule_index] += time.perf_counter() - rule_start

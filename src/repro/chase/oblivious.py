@@ -10,11 +10,12 @@ specific to the semi-oblivious variant).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
+from repro.obs.observer import ChaseObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -52,7 +53,7 @@ def oblivious_chase(
     database_size: Optional[int] = None,
     probe: Optional[object] = None,
     profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[ChaseObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run the oblivious chase of ``database`` w.r.t. ``tgds``.
@@ -64,7 +65,7 @@ def oblivious_chase(
     """
     chase_engine = ObliviousChase(
         tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        engine=engine, probe=probe, profile=profile, observers=observers,
     )
     return chase_engine.run(
         database,

@@ -25,6 +25,7 @@ from repro.model.homomorphism import Substitution, extend_homomorphism
 from repro.model.instance import Database, Instance
 from repro.model.terms import Constant
 from repro.model.tgd import TGDSet
+from repro.obs.observer import ChaseObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -51,10 +52,10 @@ class RestrictedChase(BaseChaseEngine):
     def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
                  record_derivation: bool = True, compiled: bool = True,
                  engine: Optional[str] = None, probe=None, profile=None,
-                 round_hook=None) -> None:
+                 observers: Sequence[ChaseObserver] = ()) -> None:
         super().__init__(tgds, budget=budget, record_derivation=record_derivation,
                          compiled=compiled, engine=engine, probe=probe,
-                         profile=profile, round_hook=round_hook)
+                         profile=profile, observers=observers)
         self._fire_counter = itertools.count()
         self._satisfied_memo: set = set()
 
@@ -116,7 +117,7 @@ def restricted_chase(
     database_size: Optional[int] = None,
     probe: Optional[object] = None,
     profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[ChaseObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run one fair restricted-chase derivation of ``database`` w.r.t. ``tgds``.
@@ -137,6 +138,6 @@ def restricted_chase(
         raise ValueError("the restricted chase does not support checkpoint resume")
     chase_engine = RestrictedChase(
         tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        engine=engine, probe=probe, profile=profile, observers=observers,
     )
     return chase_engine.run(database, resume_from=resume_from, database_size=database_size)

@@ -10,11 +10,12 @@ termination problem well defined.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
+from repro.obs.observer import ChaseObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -49,7 +50,7 @@ def semi_oblivious_chase(
     database_size: Optional[int] = None,
     probe: Optional[object] = None,
     profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[ChaseObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run the semi-oblivious chase of ``database`` w.r.t. ``tgds``.
@@ -71,7 +72,7 @@ def semi_oblivious_chase(
     """
     chase_engine = SemiObliviousChase(
         tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        engine=engine, probe=probe, profile=profile, observers=observers,
     )
     return chase_engine.run(
         database,

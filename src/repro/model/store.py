@@ -449,6 +449,10 @@ class FactStore:
             sizes[predicate.name] = total
         return sizes
 
+    def term_depth(self, tid: int) -> int:
+        """Depth of the term with id ``tid`` (0 for constants)."""
+        return self._depth_of_id[tid]
+
     def fact_depth(self, ids: Tuple[int, ...]) -> int:
         """Depth of a fact: max over its terms' depths (0 if nullary)."""
         depths = self._depth_of_id

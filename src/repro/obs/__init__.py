@@ -1,9 +1,13 @@
-"""Observability: metrics registry, chase probe, trace spans.
+"""Observability: metrics registry, chase observers, trace spans.
 
 Stdlib-only. Everything is opt-in; the disabled configurations
-(:data:`NULL_REGISTRY`, ``probe=None``, ``tracer=None``) are designed
-to keep hot paths byte-identical and within noise of un-instrumented
-builds — see ``docs/ARCHITECTURE.md`` for the reasoning.
+(:data:`NULL_REGISTRY`, chase runs with no observer attached,
+``tracer=None``) are designed to keep hot paths byte-identical and
+within noise of un-instrumented builds — see ``docs/ARCHITECTURE.md``
+for the reasoning.  The chase probe and rule profiler are
+:class:`ChaseObserver` implementations, attached by ``probe=`` and
+``profile=``; the runtime's checkpointer and ``worker.round`` fault
+point attach through the same protocol via ``observers=``.
 """
 
 from .metrics import (
@@ -25,7 +29,8 @@ from .benchhist import (
     load_history,
 )
 from .conformance import conformance_report, record_conformance
-from .probe import ChaseProbe, RoundSample
+from .observer import ChaseObserver
+from .probe import ChaseProbe
 from .profile import RuleProfiler, format_profile_table, top_rules
 from .trace import TraceRecorder, load_trace, summarize_trace
 
@@ -39,8 +44,8 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "parse_prometheus_text",
     "histogram_consistency_errors",
+    "ChaseObserver",
     "ChaseProbe",
-    "RoundSample",
     "TraceRecorder",
     "load_trace",
     "summarize_trace",

@@ -1,10 +1,10 @@
 """Sampled round-level instrumentation for the chase engine drivers.
 
-A :class:`ChaseProbe` rides along a single chase run.  The engine calls
-``begin_round()`` / ``end_round(...)`` once per round — never per
-trigger — so the enabled overhead is a handful of attribute writes per
-round, and the disabled path is the engine's existing ``probe is None``
-branch (telemetry off means no probe object exists at all).
+A :class:`ChaseProbe` rides along a single chase run as a
+:class:`~repro.obs.observer.ChaseObserver`.  It acts on the round
+callbacks only — ``round_start`` / ``round_end``, never per trigger —
+so the enabled overhead is a handful of attribute writes per round, and
+with telemetry off no probe object exists at all.
 
 Totals (rounds, triggers, atoms, nulls, index builds) are always exact.
 Per-round *samples* are bounded: the probe keeps at most
@@ -18,60 +18,20 @@ regardless of run length.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-__all__ = ["ChaseProbe", "RoundSample"]
+from .observer import ChaseObserver
 
-
-class RoundSample:
-    """One sampled round. Plain attributes, converted to a dict on export."""
-
-    __slots__ = (
-        "round_index",
-        "wall_seconds",
-        "delta_size",
-        "triggers_considered",
-        "triggers_applied",
-        "atoms_created",
-        "nulls_invented",
-        "index_builds",
-    )
-
-    def __init__(
-        self,
-        round_index: int,
-        wall_seconds: float,
-        delta_size: int,
-        triggers_considered: int,
-        triggers_applied: int,
-        atoms_created: int,
-        nulls_invented: int,
-        index_builds: int,
-    ) -> None:
-        self.round_index = round_index
-        self.wall_seconds = wall_seconds
-        self.delta_size = delta_size
-        self.triggers_considered = triggers_considered
-        self.triggers_applied = triggers_applied
-        self.atoms_created = atoms_created
-        self.nulls_invented = nulls_invented
-        self.index_builds = index_builds
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "round": self.round_index,
-            "wall_seconds": round(self.wall_seconds, 9),
-            "delta_size": self.delta_size,
-            "triggers_considered": self.triggers_considered,
-            "triggers_applied": self.triggers_applied,
-            "atoms_created": self.atoms_created,
-            "nulls_invented": self.nulls_invented,
-            "index_builds": self.index_builds,
-        }
+__all__ = ["ChaseProbe"]
 
 
-class ChaseProbe:
-    """Collects per-round chase telemetry with bounded sampling."""
+class ChaseProbe(ChaseObserver):
+    """Collects per-round chase telemetry with bounded sampling.
+
+    Per-round figures are differences of the drivers' running totals
+    between ``round_start`` and ``round_end``; index builds are read
+    from the store (zero on the legacy engine).
+    """
 
     __slots__ = (
         "sample_every",
@@ -87,6 +47,8 @@ class ChaseProbe:
         "_round_start",
         "_stride",
         "_clock",
+        "_store",
+        "_anchor",
     )
 
     def __init__(self, sample_every: int = 1, max_samples: int = 512) -> None:
@@ -96,7 +58,7 @@ class ChaseProbe:
             raise ValueError("max_samples must be >= 2")
         self.sample_every = sample_every
         self.max_samples = max_samples
-        self.samples: List[RoundSample] = []
+        self.samples: List[Dict[str, Any]] = []
         self.rounds = 0
         self.total_wall_seconds = 0.0
         self.total_triggers_considered = 0
@@ -107,6 +69,36 @@ class ChaseProbe:
         self._round_start = 0.0
         self._stride = sample_every
         self._clock = time.perf_counter
+        self._store: Any = None
+        self._anchor = (0, 0, 0, 0, 0, 0)
+
+    def run_start(self, engine, rule_ids, store, started) -> None:
+        self._store = store
+
+    def round_start(self, delta, considered, fired, created, nulls) -> None:
+        self.begin_round()
+        store = self._store
+        builds = store.index_builds if store is not None else 0
+        self._anchor = (delta, considered, fired, created, nulls, builds)
+
+    def round_end(
+        self, rounds, considered, fired, created, nulls, store, marks, complete
+    ) -> None:
+        delta, considered0, fired0, created0, nulls0, builds0 = self._anchor
+        self.end_round(
+            delta,
+            considered - considered0,
+            fired - fired0,
+            created - created0,
+            nulls_invented=nulls - nulls0,
+            index_builds=store.index_builds - builds0 if store is not None else 0,
+        )
+
+    def run_end(
+        self, considered, fired, created, nulls, store, enumerate_seconds,
+        compile_seconds,
+    ) -> None:
+        self._store = None
 
     def begin_round(self) -> None:
         self._round_start = self._clock()
@@ -132,16 +124,16 @@ class ChaseProbe:
         if round_index % self._stride:
             return
         self.samples.append(
-            RoundSample(
-                round_index,
-                elapsed,
-                delta_size,
-                triggers_considered,
-                triggers_applied,
-                atoms_created,
-                nulls_invented,
-                index_builds,
-            )
+            {
+                "round": round_index,
+                "wall_seconds": round(elapsed, 9),
+                "delta_size": delta_size,
+                "triggers_considered": triggers_considered,
+                "triggers_applied": triggers_applied,
+                "atoms_created": atoms_created,
+                "nulls_invented": nulls_invented,
+                "index_builds": index_builds,
+            }
         )
         if len(self.samples) > self.max_samples:
             # Decimate: keep every other sample, double the stride.  The
@@ -160,5 +152,5 @@ class ChaseProbe:
             "nulls_invented": self.total_nulls_invented,
             "index_builds": self.total_index_builds,
             "sample_stride": self._stride,
-            "samples": [sample.as_dict() for sample in self.samples],
+            "samples": [dict(sample) for sample in self.samples],
         }

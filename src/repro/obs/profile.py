@@ -1,52 +1,57 @@
 """Per-rule attribution profiling for the chase engine drivers.
 
-A :class:`RuleProfiler` rides along a single chase run and answers the
-question the round-level :class:`~repro.obs.probe.ChaseProbe` cannot:
-*which rule* is eating the time.  The drivers attribute three phases to
-rules:
+A :class:`RuleProfiler` rides along a single chase run as a
+:class:`~repro.obs.observer.ChaseObserver` and answers the question
+the round-level :class:`~repro.obs.probe.ChaseProbe` cannot: *which
+rule* is eating the time.  Three phases are attributed to rules:
 
 compile
     Each rule's plan compilation inside the trigger pipeline
     (:class:`~repro.chase.store_plan.StoreTriggerPipeline`), timed per
-    rule at construction.
+    rule at construction (store engine only).
 enumerate
-    Trigger enumeration.  Pending lists are built rule-major (the
-    pipelines walk rules, then their delta entries, in registration
-    order), so the pipelines stamp a clock only at rule *boundaries*
-    and accumulate the elapsed segment into the producing rule.
+    Trigger enumeration.  Pending lists are built rule-major (rules,
+    then their delta entries, in registration order), so the
+    enumerators stamp a clock only at rule *boundaries* and accumulate
+    the elapsed segment into the producing rule.
 apply
     The driver's apply loop.  Pending lists stay contiguous per rule,
-    so the drivers again time contiguous rule segments — one
-    ``perf_counter()`` pair per boundary change, never per trigger —
+    so the drivers call ``segment`` only where the rule changes, and
+    the profiler reads one clock per boundary — never per trigger —
     which is what keeps the profiled overhead under the benchmark's
     1.10x gate while still attributing ≥ 90% of driver wall time.
 
-Trigger counters (considered / fired / pruned) and produced facts are
-exact per rule.  Nulls invented are exact on the store engine (O(1)
-``null_count()`` diffs at segment boundaries) and counted from the
-rule's existential variables on the legacy engine.
+Trigger counters and produced facts are exact per rule, derived from
+differences of the drivers' running totals at segment boundaries:
+pruned is considered − fired.  Nulls invented count the nulls that
+occur in kept facts, on both engines.
 
 Like the probe, the profiler is strictly opt-in: ``profile=None`` (the
-default) keeps every driver on its profile-free path and the summary
-payload absent, so unprofiled runs stay byte-identical — cache keys,
-fingerprints and summaries unchanged.
+default) attaches no observer and keeps the summary payload absent, so
+unprofiled runs stay byte-identical — cache keys, fingerprints and
+summaries unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
+
+from .observer import ChaseObserver
 
 __all__ = ["RuleProfiler", "top_rules", "format_profile_table"]
 
 
-class RuleProfiler:
-    """Accumulates per-rule attribution across one chase run.
+class RuleProfiler(ChaseObserver):
+    """Accumulates per-rule attribution across chase runs.
 
-    The hot-path contract mirrors :class:`~repro.obs.probe.ChaseProbe`:
-    drivers index the plain list attributes directly (no method call
-    per trigger), stamp wall clocks only at rule-segment boundaries,
-    and fold everything into :meth:`as_dict` once at the end.
+    One apply segment is open at a time: ``segment`` closes the open
+    one and opens the next, ``round_start`` closes it before the
+    round's enumeration (timed separately by the enumerators), and
+    ``run_end`` closes the last.  The last segment of a round thus
+    stays open across ``round_end``, so round bookkeeping — the
+    termination check, other observers — lands on the adjacent rule
+    instead of dropping out of the attribution.
     """
 
     __slots__ = (
@@ -65,6 +70,10 @@ class RuleProfiler:
         "index_builds",
         "posting_memory_bytes",
         "engine",
+        "_run_slots",
+        "_driver_start",
+        "_open",
+        "_open_from",
     )
 
     def __init__(self) -> None:
@@ -76,10 +85,12 @@ class RuleProfiler:
         self.compile_seconds: List[float] = []
         self.considered: List[int] = []
         self.fired: List[int] = []
-        #: Applied-memo skips (trigger already fired or found inactive).
+        #: Considered but not fired: already fired, found inactive, or
+        #: every result fact dropped by depth truncation.
         self.pruned: List[int] = []
         #: Facts actually added to the instance/store per rule.
         self.facts: List[int] = []
+        #: Nulls invented that occur in kept facts.
         self.nulls: List[int] = []
         #: Wall time of the driver region (compile + enumerate + apply
         #: + round bookkeeping); the attribution denominator.
@@ -94,6 +105,13 @@ class RuleProfiler:
         self.posting_memory_bytes: Dict[str, int] = {}
         #: Engine of the (last) profiled run, for display.
         self.engine: Optional[str] = None
+        # Per-run state: rule index -> slot, the driver window's start,
+        # and the open apply segment: its slot (-1 when none is open)
+        # and its clock anchor plus the running totals at open.
+        self._run_slots: List[int] = []
+        self._driver_start = 0.0
+        self._open = -1
+        self._open_from = (0.0, 0, 0, 0, 0)
 
     # -- registration -------------------------------------------------------
 
@@ -113,30 +131,62 @@ class RuleProfiler:
             self.nulls.append(0)
         return index
 
-    def attach(self, rule_ids: Iterable[str]) -> List[int]:
-        """Register a run's rules; returns their slots in input order.
+    # -- ChaseObserver ------------------------------------------------------
 
-        Drivers call this once per run with the pipeline's rules in
-        rule-index order and then translate ``rule.index`` to a bucket
-        through the returned list — so one profiler can aggregate
-        repeated runs (benchmark repeats) of the same program.
-        """
-        return [self.slot(rule_id) for rule_id in rule_ids]
+    def run_start(self, engine, rule_ids, store, started) -> None:
+        # The attribution denominator starts here: database setup
+        # before it is reported separately as setup_seconds.
+        self._driver_start = time.perf_counter()
+        self.setup_seconds += self._driver_start - started
+        # Buckets are per rule id, so one profiler aggregates repeated
+        # runs (benchmark repeats) of the same program.
+        self._run_slots = [self.slot(rule_id) for rule_id in rule_ids]
+        self._open = -1
+        self.engine = engine
 
-    # -- folding ------------------------------------------------------------
+    def round_start(self, delta, considered, fired, created, nulls) -> None:
+        if self._open >= 0:
+            self._close(time.perf_counter(), considered, fired, created, nulls)
 
-    def add_rule_seconds(self, slots: List[int], seconds: List[float]) -> None:
-        """Fold a pipeline's per-rule-index seconds into the buckets."""
-        buckets = self.seconds
-        for index, elapsed in enumerate(seconds):
-            if elapsed:
-                buckets[slots[index]] += elapsed
+    def segment(self, rule, considered, fired, created, nulls) -> None:
+        now = time.perf_counter()
+        if self._open >= 0:
+            self._close(now, considered, fired, created, nulls)
+        self._open = self._run_slots[rule]
+        self._open_from = (now, considered, fired, created, nulls)
 
-    def add_compile_seconds(self, slots: List[int], seconds: List[float]) -> None:
-        buckets = self.compile_seconds
-        for index, elapsed in enumerate(seconds):
-            if elapsed:
-                buckets[slots[index]] += elapsed
+    def run_end(
+        self, considered, fired, created, nulls, store, enumerate_seconds,
+        compile_seconds,
+    ) -> None:
+        driver_end = time.perf_counter()
+        if self._open >= 0:
+            self._close(driver_end, considered, fired, created, nulls)
+        slots = self._run_slots
+        for index, elapsed in enumerate(enumerate_seconds):
+            self.seconds[slots[index]] += elapsed
+        for index, elapsed in enumerate(compile_seconds or ()):
+            self.compile_seconds[slots[index]] += elapsed
+        if store is not None:
+            # After the driver window closed: the posting-memory sweep
+            # is O(store) profiler bookkeeping, not driver time.
+            self.observe_store(store)
+        self.driver_seconds += driver_end - self._driver_start
+        self.runs += 1
+
+    def _close(self, now, considered, fired, created, nulls) -> None:
+        """Fold the open apply segment into its rule's slot."""
+        slot = self._open
+        opened, considered0, fired0, created0, nulls0 = self._open_from
+        seen = considered - considered0
+        hits = fired - fired0
+        self.seconds[slot] += now - opened
+        self.considered[slot] += seen
+        self.fired[slot] += hits
+        self.pruned[slot] += seen - hits
+        self.facts[slot] += created - created0
+        self.nulls[slot] += nulls - nulls0
+        self._open = -1
 
     def observe_store(self, store: Any) -> None:
         """Merge a :class:`~repro.model.store.FactStore`'s index-build
@@ -151,14 +201,6 @@ class RuleProfiler:
             self.posting_memory_bytes[name] = (
                 self.posting_memory_bytes.get(name, 0) + size
             )
-
-    def finish_run(self, driver_seconds: float, setup_seconds: float = 0.0,
-                   engine: Optional[str] = None) -> None:
-        self.driver_seconds += driver_seconds
-        self.setup_seconds += setup_seconds
-        self.runs += 1
-        if engine is not None:
-            self.engine = engine
 
     # -- export -------------------------------------------------------------
 
@@ -263,8 +305,3 @@ def format_profile_table(profile: Dict[str, Any], top: int = 10) -> str:
             f"{len(memory)} predicates"
         )
     return "\n".join(lines)
-
-
-# Re-exported for drivers that want a monotonic clock without importing
-# ``time`` under a second name.
-perf_counter = time.perf_counter

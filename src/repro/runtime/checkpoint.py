@@ -1,9 +1,9 @@
 """Mid-run chase checkpoints: crash-safe snapshots a retry resumes from.
 
 A long budget-bounded chase that dies at round 40 of 50 should not
-restart cold.  ``checkpoint_every_rounds=N`` makes the engine call a
-:class:`RoundCheckpointer` at every Nth round boundary; the
-checkpointer persists the fact store (via ``FactStore.snapshot``)
+restart cold.  ``checkpoint_every_rounds=N`` attaches a
+:class:`RoundCheckpointer` observer to the run; at every Nth round
+boundary it persists the fact store (via ``FactStore.snapshot``)
 together with the loop state the snapshot alone cannot carry — the
 per-predicate row marks that delimit the current frontier, and the
 cumulative statistics so a resumed run's final summary is
@@ -37,6 +37,8 @@ import os
 import struct
 from pathlib import Path
 from typing import List, Optional, Tuple
+
+from repro.obs.observer import ChaseObserver
 
 MAGIC = b"RPCKPT1\n"
 _LEN = struct.Struct("<Q")
@@ -114,14 +116,16 @@ def load_checkpoint(path: str) -> Optional[Tuple[dict, bytes]]:
         return None
 
 
-class RoundCheckpointer:
-    """An engine round hook that persists every Nth round boundary.
+class RoundCheckpointer(ChaseObserver):
+    """A chase observer that persists every Nth round boundary.
 
-    Instances are callables matching the engine's ``round_hook``
-    signature.  Writes are atomic (temp + ``os.replace``) and honour
-    the ``checkpoint.write`` fault point: a ``truncate`` effect writes
-    half the blob — exactly the torn write a crash mid-``write`` would
-    leave — which ``decode_checkpoint`` later rejects.
+    Acts in ``round_end`` on completed store-engine rounds only (the
+    legacy engine has no row marks to freeze, and a round a budget cut
+    short is no boundary to resume from).  Writes are atomic (temp +
+    ``os.replace``) and honour the ``checkpoint.write`` fault point: a
+    ``truncate`` effect writes half the blob — exactly the torn write a
+    crash mid-``write`` would leave — which ``decode_checkpoint`` later
+    rejects.
     """
 
     def __init__(self, path: str, every_rounds: int, *, database_size: int = 0, injector=None):
@@ -133,17 +137,18 @@ class RoundCheckpointer:
         self.injector = injector
         self.writes = 0
 
-    def __call__(self, rounds, store, marks, stats) -> None:
-        if marks is None or rounds <= 0 or rounds % self.every_rounds:
+    def round_end(
+        self, rounds, considered, fired, created, nulls, store, marks, complete
+    ) -> None:
+        if not complete or marks is None or rounds <= 0 or rounds % self.every_rounds:
             return
-        considered, applied, created = stats
         blob = store.snapshot(complete=False, rounds=rounds)
         data = encode_checkpoint(
             blob,
             marks=marks,
             rounds=rounds,
             considered=considered,
-            applied=applied,
+            applied=fired,
             created=created,
             database_size=self.database_size,
         )

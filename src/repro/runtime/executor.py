@@ -65,6 +65,7 @@ from repro.runtime.budget_policy import BudgetDecision, BudgetPolicy
 from repro.runtime.cache import CacheEntry, ResultCache, lineage_cache_key, result_cache_key
 from repro.runtime.checkpoint import RoundCheckpointer, load_checkpoint
 from repro.runtime.faults import (
+    RoundFaultPoint,
     backoff_schedule,
     classify_failure,
     get_injector,
@@ -208,18 +209,11 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
                 ),
                 injector=injector if injector.enabled else None,
             )
-        round_hook = None
-        if checkpointer is not None or injector.enabled:
-            fire = injector.fire if injector.enabled else None
-
-            def round_hook(rounds, store, marks, stats,
-                           _ckpt=checkpointer, _fire=fire, _job=job_id):
-                # Checkpoint before the fault fires: a kill at round N
-                # must find the round-N state already durable.
-                if _ckpt is not None:
-                    _ckpt(rounds, store, marks, stats)
-                if _fire is not None:
-                    _fire("worker.round", job=_job, round=rounds)
+        # Checkpoint before the fault fires: a kill at round N must
+        # find the round-N state already durable.
+        observers = [checkpointer] if checkpointer is not None else []
+        if injector.enabled:
+            observers.append(RoundFaultPoint(injector, job_id))
 
         start = time.perf_counter()
         result = runner(
@@ -232,7 +226,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             database_size=int(database_size) if database_size is not None else None,
             probe=probe,
             profile=profiler,
-            round_hook=round_hook,
+            observers=observers,
             checkpoint=engine_checkpoint,
         )
         status = (

@@ -30,8 +30,9 @@ suite and CI artifacts.
 Fault points and the actions they honour:
 
 ``worker.round``
-    Fired by :func:`repro.runtime.executor.execute_payload` at the end
-    of every chase round with ``job=`` and ``round=`` context.
+    Fired by a :class:`RoundFaultPoint` chase observer, which
+    :func:`repro.runtime.executor.execute_payload` attaches, at the end
+    of every completed chase round with ``job=`` and ``round=`` context.
     Actions: ``kill`` (``os._exit(1)`` — a hard worker crash),
     ``error`` (raises a transient :class:`FaultError`), ``hang``
     (sleeps ``seconds`` — a stuck worker).
@@ -59,6 +60,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.observer import ChaseObserver
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -390,6 +393,22 @@ class FaultInjector:
             return None
         # "truncate" / "drop" are cooperative: the call site applies them.
         return spec.action
+
+
+class RoundFaultPoint(ChaseObserver):
+    """The ``worker.round`` fault point as a chase observer: fires at
+    every completed round boundary, after the observers attached before
+    it (the executor's checkpointer)."""
+
+    def __init__(self, injector: FaultInjector, job: str):
+        self.injector = injector
+        self.job = job
+
+    def round_end(
+        self, rounds, considered, fired, created, nulls, store, marks, complete
+    ) -> None:
+        if complete:
+            self.injector.fire("worker.round", job=self.job, round=rounds)
 
 
 _DISABLED = FaultInjector(None)

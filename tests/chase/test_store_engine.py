@@ -657,25 +657,31 @@ def test_database_may_be_a_fact_store():
 def _checkpoints_of(runner, database, tgds):
     """(uninterrupted summary, one EngineCheckpoint per round boundary)."""
     from repro.chase.engine import EngineCheckpoint
+    from repro.obs.observer import ChaseObserver
 
     checkpoints = []
 
-    def hook(rounds, store, marks, counters):
-        considered, applied, created = counters
-        checkpoints.append(
-            EngineCheckpoint(
-                store_blob=store.snapshot(),
-                marks=tuple(marks),
-                rounds=rounds,
-                considered=considered,
-                applied=applied,
-                created=created,
-                database_size=len(database),
+    class Recorder(ChaseObserver):
+        def round_end(
+            self, rounds, considered, fired, created, nulls, store, marks, complete
+        ):
+            if not complete:
+                return
+            checkpoints.append(
+                EngineCheckpoint(
+                    store_blob=store.snapshot(),
+                    marks=tuple(marks),
+                    rounds=rounds,
+                    considered=considered,
+                    applied=fired,
+                    created=created,
+                    database_size=len(database),
+                )
             )
-        )
 
     result = runner(
-        database, tgds, budget=BUDGET, record_derivation=False, round_hook=hook
+        database, tgds, budget=BUDGET, record_derivation=False,
+        observers=[Recorder()],
     )
     return summary_json(result), checkpoints
 
